@@ -39,11 +39,16 @@ _METHODS = {
 }
 
 
-def _default_workers() -> int:
+def _worker_count(text: str) -> int:
     try:
-        return max(1, int(os.environ.get("EQUICUT_WORKERS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(
+            f"worker count (--workers or EQUICUT_WORKERS) must be a positive integer, got {text!r}"
+        )
+    return workers
 
 
 def _family_spec(args: argparse.Namespace) -> GraphFamilySpec:
@@ -134,6 +139,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "paper":
+        if args.out_dir is not None:
+            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         results = run_paper_suite(seed=args.seed, out_dir=args.out_dir)
     elif args.suite == "formulas":
         results = run_formulas_suite(n_max=args.n_max or 60)
@@ -159,7 +166,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (local search restarts)")
     p.add_argument("--restarts", type=int, default=100, help="local-search restarts")
-    p.add_argument("--workers", type=int, default=_default_workers(), help="worker processes")
+    # A string default goes through the type check too, so a bad
+    # EQUICUT_WORKERS is rejected (exit 2) only when --workers is not given.
+    p.add_argument("--workers", type=_worker_count, default=os.environ.get("EQUICUT_WORKERS", "1"),
+                   help="worker processes (default: EQUICUT_WORKERS, else 1)")
     p.add_argument("--cap", type=int, default=30, help="exhaustive enumeration cap on n")
     p.add_argument("--upper-bound", type=int, default=None, dest="upper_bound",
                    help="trusted initial upper bound for branch-and-bound")
@@ -213,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20260801)
     p.add_argument("--json", default=None, help="also write a JSON report here")
     p.add_argument("--out-dir", default=None, dest="out_dir",
-                   help="directory for sweep artifacts (paper suite)")
+                   help="directory for sweep artifacts, created if missing (paper suite)")
     p.set_defaults(func=cmd_verify)
 
     return parser

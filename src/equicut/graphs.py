@@ -236,16 +236,23 @@ def graph_to_json_dict(g: Graph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
 
 
+def _is_json_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json_dict(data: object) -> Graph:
-    if not isinstance(data, dict):
-        raise InvalidInputError("graph JSON must be an object")
-    try:
-        n = int(data["n"])
-        edges = data["edges"]
-    except (KeyError, TypeError, ValueError):
-        raise InvalidInputError('graph JSON needs integer "n" and list "edges"') from None
+    """Graph from parsed JSON {"n": int, "edges": [[i, j], ...]}, typed strictly:
+    no floats, strings or booleans stand in for integers."""
+    if not isinstance(data, dict) or "n" not in data or "edges" not in data:
+        raise InvalidInputError('graph JSON needs integer "n" and list "edges"')
+    n, edges = data["n"], data["edges"]
+    if not _is_json_int(n):
+        raise InvalidInputError(f'"n" must be an integer, got {n!r}')
     if not isinstance(edges, list):
         raise InvalidInputError('"edges" must be a list of [i, j] pairs')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
+            raise InvalidInputError(f"malformed edge entry {e!r}; expected [i, j] with integers")
     return graph_from_edges(n, edges)
 
 

@@ -5,21 +5,27 @@ negative edges over its parity signed graphs, so one quantity is computed
 for both views. Three methods are provided:
 
 * exhaustive - walks every floor(n/2)-subset in revolving-door order,
-  updating the cut size incrementally (two popcounts per step);
+  updating the cut size incrementally (two popcounts per step); the walk
+  comes from bitset.swap_chunks as cached flat byte strings, so the inner
+  loop runs over plain bytes;
 * branch_and_bound - assigns vertices to sides with running capacities and
   an admissible greedy completion bound;
 * local_search - seeded multi-restart best-improvement pair swaps; returns
   an upper bound, never below the optimum.
+
+Worker processes go through _parallel_map, which never starts more
+processes than there are tasks or CPUs.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, replace
 from multiprocessing import Pool
 
-from .bitset import iter_bits, revolving_door_swaps, subset_precedes, vertices_from_mask
+from .bitset import MAX_WALK_N, iter_bits, subset_precedes, swap_chunks, vertices_from_mask
 from .errors import EnumerationCapError, InvalidInputError
 from .graphs import Graph, is_rotation_symmetric
 from .parity import Equicut
@@ -78,6 +84,16 @@ def _cut_size_mask(g: Graph, mask: int) -> int:
     return sum((g.adj[v] & outside).bit_count() for v in iter_bits(mask))
 
 
+def _parallel_map(fn, tasks: list, workers: int) -> list:
+    """fn over tasks, in order, on at most min(workers, len(tasks), CPUs)
+    processes; one process means no pool at all."""
+    size = min(workers, len(tasks), os.cpu_count() or 1)
+    if size <= 1:
+        return [fn(task) for task in tasks]
+    with Pool(size) as pool:
+        return pool.map(fn, tasks)
+
+
 def _merge(best: tuple[int, int] | None, cand: tuple[int, int]) -> tuple[int, int]:
     if best is None:
         return cand
@@ -92,26 +108,25 @@ def _min_equicut_block(g: Graph, pinned: int, lo: int, k: int) -> tuple[int, int
     Ties break toward the smaller sorted-vertex tuple, so merging block
     results is order-independent.
     """
-    adj = g.adj
     extra = k - pinned.bit_count()
     universe = g.n - lo
     if extra < 0 or extra > universe:
         raise InvalidInputError("infeasible enumeration block")
-    mask = pinned
-    for i in range(extra):
-        mask |= 1 << (lo + i)
+    mask = pinned | (((1 << extra) - 1) << lo)
     cut = _cut_size_mask(g, mask)
     best_cut, best_mask = cut, mask
-    for enter, leave in revolving_door_swaps(universe, extra):
-        v_in, v_out = lo + enter, lo + leave
-        row_out = adj[v_out]
-        cut += 2 * (row_out & mask).bit_count() - row_out.bit_count()
-        mask ^= 1 << v_out
-        row_in = adj[v_in]
-        cut += row_in.bit_count() - 2 * (row_in & mask).bit_count()
-        mask |= 1 << v_in
-        if cut < best_cut or (cut == best_cut and subset_precedes(mask, best_mask)):
-            best_cut, best_mask = cut, mask
+    # Walk elements are offsets from lo: index the rows, degrees and bits by them.
+    rows = g.adj[lo:]
+    degs = [row.bit_count() for row in rows]
+    bits = [1 << v for v in range(lo, g.n)]
+    for enters, leaves in swap_chunks(universe, extra):
+        for e, l in zip(enters, leaves):
+            cut += 2 * (rows[l] & mask).bit_count() - degs[l]
+            mask ^= bits[l]
+            cut += degs[e] - 2 * (rows[e] & mask).bit_count()
+            mask |= bits[e]
+            if cut <= best_cut and (cut < best_cut or subset_precedes(mask, best_mask)):
+                best_cut, best_mask = cut, mask
     return best_cut, best_mask
 
 
@@ -143,6 +158,8 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
             f"n={g.n} exceeds the enumeration cap {cfg.exhaustive_cap}; "
             "use branch_and_bound or raise the cap"
         )
+    if g.n > MAX_WALK_N:
+        raise EnumerationCapError(f"exhaustive enumeration supports n <= {MAX_WALK_N}, got n={g.n}")
     start = time.perf_counter()
     k = g.n // 2
     pin_zero = (g.n % 2 == 0) or _use_symmetry(g, cfg)
@@ -153,10 +170,8 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
             tasks = [(g, 1 | (1 << s), s + 1, k) for s in range(1, g.n - k + 2)]
         else:
             tasks = [(g, 1 << s, s + 1, k) for s in range(0, g.n - k + 1)]
-        with Pool(min(cfg.parallelism, len(tasks))) as pool:
-            results = pool.map(_block_task, tasks)
         best = None
-        for cand in results:
+        for cand in _parallel_map(_block_task, tasks, cfg.parallelism):
             best = _merge(best, cand)
     else:
         if pin_zero:
@@ -238,10 +253,8 @@ def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
             count = min(chunk, restarts - first)
             tasks.append((g, k, cfg.rng_seed, first, count, cfg.first_improvement))
             first += count
-        with Pool(len(tasks)) as pool:
-            results = pool.map(_local_search_chunk, tasks)
         best = None
-        for cand in results:
+        for cand in _parallel_map(_local_search_chunk, tasks, workers):
             best = _merge(best, cand)
         return best
     return _local_search_chunk((g, k, cfg.rng_seed, 0, restarts, cfg.first_improvement))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from pathlib import Path
 
 from .errors import InvalidInputError
@@ -26,6 +25,7 @@ from .solver import (
     rna_exhaustive,
     rna_local_search,
     rna_lower_bound,
+    _parallel_map,
 )
 
 CSV_COLUMNS = [
@@ -150,12 +150,7 @@ def run_sweep(
         for d in range(d_range[0], d_range[1] + 1)
         if 2 <= d < n // 2
     ]
-    if workers > 1 and len(grid) > 1:
-        with Pool(min(workers, len(grid))) as pool:
-            rows = pool.map(_row_task, grid)
-    else:
-        rows = [_row_task(item) for item in grid]
-    return rows
+    return _parallel_map(_row_task, grid, workers)
 
 
 def write_sweep_outputs(rows: list[SweepRow], out_path: str | Path) -> list[Path]:

@@ -37,3 +37,24 @@ def edge_connectivity_naive(n, edges):
         if best is None or c < best:
             best = c
     return best
+
+
+def revolving_door_swaps_recursive(n, k):
+    """Reference revolving-door walk as nested generators: (enter, leave) steps
+    over the k-subsets of range(n), starting at {0, ..., k-1}. The first block
+    covers the subsets avoiding n-1, the second the subsets containing n-1 in
+    reverse."""
+    if k <= 0 or k >= n:
+        return
+    yield from revolving_door_swaps_recursive(n - 1, k)
+    yield (n - 1, k - 2) if k >= 2 else (n - 1, n - 2)
+    yield from _reversed_swaps_recursive(n - 1, k - 1)
+
+
+def _reversed_swaps_recursive(n, k):
+    # The forward walk of (n, k) backwards, entered at its last subset.
+    if k <= 0 or k >= n:
+        return
+    yield from revolving_door_swaps_recursive(n - 1, k - 1)
+    yield (k - 2, n - 1) if k >= 2 else (n - 2, n - 1)
+    yield from _reversed_swaps_recursive(n - 1, k)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,39 @@ class TestSolve:
         args = build_parser().parse_args(["solve", "--graph", "x"])
         assert args.workers == 2
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_invalid_workers_environment_exits_2(self, capsys, tmp_path, monkeypatch, value):
+        path = gen(capsys, tmp_path, "g.json", "--family", "cycle", "--n", "6")
+        monkeypatch.setenv("EQUICUT_WORKERS", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--graph", str(path)])
+        assert exc.value.code == 2
+        assert "EQUICUT_WORKERS" in capsys.readouterr().err
+        code, out, _ = run_cli(capsys, "solve", "--graph", str(path), "--workers", "1")
+        assert code == 0
+        assert json.loads(out)["value"] == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 3.9, "edges": [[0, 1], [1, 2], [0, 2]]},
+            {"n": "3", "edges": [[0, 1], [1, 2], [0, 2]]},
+            {"n": True, "edges": []},
+            {"n": 3, "edges": [[0, 1], [1, 2], [0, 2, 1]]},
+            {"n": 3, "edges": [[0, 1], [1, 2.0], [0, 2]]},
+            {"n": 3, "edges": [[0, 1], ["1", 2], [0, 2]]},
+            {"n": 3, "edges": [[0, 1], [1, 2], [False, 2]]},
+            {"n": 3, "edges": [[0, 1], [1, 2], {"0": 2}]},
+        ],
+    )
+    def test_non_integer_graph_json_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "solve", "--graph", str(path))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
 
 class TestLabel:
     def test_block_labeling_on_c6(self, capsys, tmp_path):
@@ -207,3 +241,34 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--suite", "formulas")
         assert code == 4
         assert "[FAIL]" in out
+
+    def test_paper_out_dir_created_before_first_check(self, capsys, tmp_path, monkeypatch):
+        from equicut import cli
+
+        out_dir = tmp_path / "a" / "b"
+
+        def fake_suite(seed, out_dir):
+            assert Path(out_dir).is_dir()
+            return []
+
+        monkeypatch.setattr(cli, "run_paper_suite", fake_suite)
+        code, out, _ = run_cli(capsys, "verify", "--suite", "paper", "--out-dir", str(out_dir))
+        assert code == 0
+        assert out_dir.is_dir()
+
+    def test_uncreatable_out_dir_exits_5_before_any_check(self, capsys, tmp_path, monkeypatch):
+        from equicut import cli
+
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def fake_suite(seed, out_dir):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(cli, "run_paper_suite", fake_suite)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "paper", "--out-dir", str(blocker / "sub")
+        )
+        assert code == 5
+        assert out == ""
+        assert "i/o" in err

@@ -177,6 +177,17 @@ class TestLoader:
         with pytest.raises(InvalidInputError):
             graph_from_json_dict({"n": 3})
 
+    @pytest.mark.parametrize("n", [3.9, 3.0, "3", True, None])
+    def test_json_n_must_be_integer(self, n):
+        with pytest.raises(InvalidInputError, match='"n" must be an integer'):
+            graph_from_json_dict({"n": n, "edges": [[0, 1], [1, 2]]})
+
+    @pytest.mark.parametrize("edge", [[1], [1, 2, 0], [1.0, 2], ["1", 2], [1, True], (1, 2), "12"])
+    def test_json_edges_must_be_integer_pairs(self, edge):
+        with pytest.raises(InvalidInputError, match="malformed edge"):
+            graph_from_json_dict({"n": 3, "edges": [[0, 1], edge]})
+        assert graph_from_json_dict({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}) == make_cycle(3)
+
 
 class TestFamilySpec:
     def test_build_dispatch(self):

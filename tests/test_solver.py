@@ -18,6 +18,8 @@ from equicut import (
     rna_local_search,
     rna_lower_bound,
 )
+from equicut import run_sweep, solver
+from equicut.graphs import is_rotation_symmetric
 from equicut.verify import random_circulant, random_connected_graph
 
 from oracles import edge_connectivity_naive, min_equicut_naive
@@ -72,6 +74,9 @@ class TestExhaustive:
         with pytest.raises(EnumerationCapError):
             rna_exhaustive(g, SolverConfig(exhaustive_cap=10))
         assert rna_exhaustive(g, SolverConfig(exhaustive_cap=12)).value == 2
+        # walk steps are single bytes, whatever cap is asked for
+        with pytest.raises(EnumerationCapError, match="n <= 256"):
+            rna_exhaustive(make_cycle(257), SolverConfig(exhaustive_cap=1000))
 
     def test_tiny_instances(self):
         assert rna_exhaustive(make_complete(2)).value == 1
@@ -84,6 +89,16 @@ class TestExhaustive:
             for workers in (2, 4):
                 other = rna_exhaustive(g, SolverConfig(parallelism=workers))
                 assert (other.value, other.certificate) == (base.value, base.certificate)
+
+    def test_worker_count_invisible_across_walk_chunks(self):
+        # Odd and not rotation-symmetric, so nothing is pinned: the single
+        # walk and the first two block walks each span several cached chunks.
+        g = random_connected_graph(random.Random(2121), 21)
+        assert not is_rotation_symmetric(g)
+        base = rna_exhaustive(g, SolverConfig(parallelism=1))
+        split = rna_exhaustive(g, SolverConfig(parallelism=2))
+        assert (split.value, split.certificate) == (base.value, base.certificate)
+        assert equicut_size(g, base.certificate) == base.value
 
     def test_symmetry_toggle_same_value(self):
         g = make_cycle_power(11, 2)
@@ -235,3 +250,37 @@ class TestConfig:
         assert d["value"] == 2
         assert d["method"] == "exhaustive"
         assert d["exact"] is True
+
+
+class TestParallelMap:
+    def test_pool_size_is_clamped(self, monkeypatch):
+        requested = []
+
+        class FakePool:
+            def __init__(self, size):
+                requested.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(solver, "Pool", FakePool)
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+        g = make_cycle_power(12, 2)
+        cfg = SolverConfig(parallelism=64, restarts=64)
+        assert rna_exhaustive(g, cfg).value == rna_exhaustive(g).value
+        assert rna_local_search(g, cfg).value == rna_local_search(g, replace(cfg, parallelism=1)).value
+        rows = run_sweep((9, 12), (2, 3), workers=64)
+        assert [r.exact for r in rows] == [6, 12] * 4
+        assert requested == [3, 3, 3]
+
+    def test_single_slot_runs_inline(self, monkeypatch):
+        monkeypatch.setattr(solver, "Pool", None)
+        assert solver._parallel_map(abs, [-1, 2, -3], 1) == [1, 2, 3]
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
+        assert solver._parallel_map(abs, [-4, 5], 8) == [4, 5]

@@ -62,10 +62,14 @@ def _family_spec(args: argparse.Namespace) -> GraphFamilySpec:
     return GraphFamilySpec(family=family, n=args.n, d=args.d, jumps=jumps)
 
 
+def _require_parent_dir(path: str | None) -> None:
+    """Fail (exit 5) before any work when an output file cannot be created."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise FileNotFoundError(f"no such directory for output file {path!r}")
+
+
 def _solver_config(args: argparse.Namespace) -> SolverConfig:
-    symmetry = {"auto": None, "on": True, "off": False}[args.symmetry]
     return SolverConfig(
-        symmetry_reduction=symmetry,
         restarts=args.restarts,
         rng_seed=args.seed,
         parallelism=args.workers,
@@ -115,6 +119,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    _require_parent_dir(args.out)
     cfg = _solver_config(args)
     method = args.method.replace("-", "_")
     rows = run_sweep(
@@ -138,9 +143,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite == "paper" and args.out_dir is not None:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    _require_parent_dir(args.json)
     if args.suite == "paper":
-        if args.out_dir is not None:
-            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         results = run_paper_suite(seed=args.seed, out_dir=args.out_dir)
     elif args.suite == "formulas":
         results = run_formulas_suite(n_max=args.n_max or 60)
@@ -173,8 +179,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cap", type=int, default=30, help="exhaustive enumeration cap on n")
     p.add_argument("--upper-bound", type=int, default=None, dest="upper_bound",
                    help="trusted initial upper bound for branch-and-bound")
-    p.add_argument("--symmetry", choices=("auto", "on", "off"), default="auto",
-                   help="rotation symmetry reduction (auto: detect from the graph)")
 
 
 def build_parser() -> argparse.ArgumentParser:

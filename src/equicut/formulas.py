@@ -27,8 +27,6 @@ the point of this module is checking the formulas against direct counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInputError
 from .graphs import GraphFamilySpec, circular_distance, make_cycle_power
 from .parity import Equicut, equicut_size
@@ -41,30 +39,6 @@ def _check_block_range(n: int, d: int) -> int:
     if not 2 <= d < n // 2:
         raise InvalidInputError(f"need 2 <= d < floor(n/2); got d={d}, n={n}")
     return n // 2
-
-
-@dataclass(frozen=True)
-class BlockCutSpec:
-    """A run of floor(n/2) consecutive vertices of the n-cycle, starting at `start`."""
-
-    n: int
-    d: int
-    start: int = 0
-
-    def __post_init__(self):
-        _check_block_range(self.n, self.d)
-        if not 0 <= self.start < self.n:
-            raise InvalidInputError(f"start {self.start} out of range for n={self.n}")
-
-    @property
-    def size(self) -> int:
-        return self.n // 2
-
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(sorted((self.start + j) % self.n for j in range(self.size)))
-
-    def boundary_count(self, j: int) -> int:
-        return boundary_count_direct(self.n, self.d, self.start, j)
 
 
 def block_params(n: int, d: int) -> tuple[str, int, int]:

@@ -35,10 +35,14 @@ class Graph:
                 raise InvalidInputError(f"adjacency row {v} references vertices >= {n}")
             if (row >> v) & 1:
                 raise InvalidInputError(f"self-loop at vertex {v}")
-        for v, row in enumerate(adj):
-            for u in iter_bits(row):
-                if not (adj[u] >> v) & 1:
-                    raise InvalidInputError(f"asymmetric adjacency between {u} and {v}")
+        # Adjacency matrix as one string, cell (v, u) at v*n + u: it must equal
+        # its transpose, row v against column v (string slices, not a bit loop).
+        cells = "".join(format(row, f"0{n}b")[::-1] for row in adj)
+        for v in range(n):
+            row_cells, col_cells = cells[v * n:(v + 1) * n], cells[v::n]
+            if row_cells != col_cells:
+                u = next(u for u in range(n) if row_cells[u] != col_cells[u])
+                raise InvalidInputError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = tuple(adj)
         self.full_mask = full

@@ -38,16 +38,14 @@ _SEED_STRIDE = 1_000_003
 class SolverConfig:
     """Knobs shared by the solvers.
 
-    symmetry_reduction=None means "decide from the graph": reduction is used
-    when the adjacency is rotation-invariant (circulants, cycle powers).
+    Only what the graph cannot tell: symmetry reduction is always derived
+    from the graph (see _pin_zero), and results never depend on parallelism.
     """
 
-    symmetry_reduction: bool | None = None
     restarts: int = 100
     rng_seed: int = 0
     parallelism: int = 1
     initial_upper_bound: int | None = None
-    first_improvement: bool = False
     exhaustive_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
@@ -134,21 +132,24 @@ def _block_task(args: tuple[Graph, int, int, int]) -> tuple[int, int]:
     return _min_equicut_block(*args)
 
 
-def _use_symmetry(g: Graph, cfg: SolverConfig) -> bool:
-    if cfg.symmetry_reduction is None:
-        return is_rotation_symmetric(g)
-    return cfg.symmetry_reduction
+def _pin_zero(g: Graph) -> bool:
+    """Whether vertex 0 may be fixed on side A (the side of floor(n/2)).
+
+    For even n a subset and its complement cut the same edges. Under rotation
+    symmetry every rotation class of subsets, including the one holding the
+    lexicographically smallest minimizer, has a member containing vertex 0.
+    Otherwise (odd n, no symmetry) pinning can miss the minimum.
+    """
+    return g.n % 2 == 0 or is_rotation_symmetric(g)
 
 
 def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimum equicut by complete enumeration; certificate is the
     lexicographically smallest minimizer (sorted-vertex-tuple order).
 
-    When n is even the subset and its complement cut the same edges, so
-    vertex 0 is pinned inside X. Under rotation symmetry the same pinning is
-    valid for odd n: every rotation class of subsets, including the one
-    holding the lexicographically smallest minimizer, has a member
-    containing vertex 0. Results are identical for any worker count.
+    Vertex 0 is pinned inside X when _pin_zero allows it. The walk is split
+    into one block per smallest non-pinned member when workers are asked
+    for; results are identical for any worker count.
     """
     cfg = cfg or SolverConfig()
     if g.n < 2:
@@ -161,27 +162,22 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     if g.n > MAX_WALK_N:
         raise EnumerationCapError(f"exhaustive enumeration supports n <= {MAX_WALK_N}, got n={g.n}")
     start = time.perf_counter()
+    lower = rna_lower_bound(g)
     k = g.n // 2
-    pin_zero = (g.n % 2 == 0) or _use_symmetry(g, cfg)
+    pin_zero = _pin_zero(g)
 
-    tasks: list[tuple[Graph, int, int, int]]
-    if cfg.parallelism > 1 and k >= 2:
-        if pin_zero:
-            tasks = [(g, 1 | (1 << s), s + 1, k) for s in range(1, g.n - k + 2)]
-        else:
-            tasks = [(g, 1 << s, s + 1, k) for s in range(0, g.n - k + 1)]
-        best = None
-        for cand in _parallel_map(_block_task, tasks, cfg.parallelism):
-            best = _merge(best, cand)
+    if cfg.parallelism == 1 or k < 2:
+        tasks = [(g, 1, 1, k)] if pin_zero else [(g, 0, 0, k)]
+    elif pin_zero:
+        tasks = [(g, 1 | (1 << s), s + 1, k) for s in range(1, g.n - k + 2)]
     else:
-        if pin_zero:
-            best = _min_equicut_block(g, 1, 1, k)
-        else:
-            best = _min_equicut_block(g, 0, 0, k)
+        tasks = [(g, 1 << s, s + 1, k) for s in range(0, g.n - k + 1)]
+    best = None
+    for cand in _parallel_map(_block_task, tasks, cfg.parallelism):
+        best = _merge(best, cand)
 
     value, mask = best
     elapsed = time.perf_counter() - start
-    lower = rna_lower_bound(g)
     return SolveResult(
         value=value,
         certificate=Equicut(g.n, vertices_from_mask(mask)),
@@ -193,7 +189,7 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     )
 
 
-def _local_search_run(g: Graph, k: int, rng: random.Random, first_improvement: bool) -> tuple[int, int]:
+def _local_search_run(g: Graph, k: int, rng: random.Random) -> tuple[int, int]:
     adj = g.adj
     degs = [row.bit_count() for row in adj]
     mask = 0
@@ -215,10 +211,6 @@ def _local_search_run(g: Graph, k: int, rng: random.Random, first_improvement: b
                 if delta < best_delta:
                     best_delta = delta
                     best_swap = (u, v)
-                    if first_improvement:
-                        break
-            if first_improvement and best_swap is not None:
-                break
         if best_swap is None:
             return cut, mask
         u, v = best_swap
@@ -230,34 +222,31 @@ def _restart_seed(base: int, index: int) -> int:
     return base * _SEED_STRIDE + index
 
 
-def _local_search_chunk(args: tuple[Graph, int, int, int, int, bool]) -> tuple[int, int]:
-    g, k, seed_base, first, count, first_improvement = args
+def _local_search_chunk(args: tuple[Graph, int, int, int, int]) -> tuple[int, int]:
+    g, k, seed_base, first, count = args
     best = None
     for r in range(first, first + count):
         rng = random.Random(_restart_seed(seed_base, r))
-        best = _merge(best, _local_search_run(g, k, rng, first_improvement))
+        best = _merge(best, _local_search_run(g, k, rng))
     return best
 
 
 def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
+    """Best of cfg.restarts seeded runs, split into one chunk per worker."""
     k = g.n // 2
     if k == 0:
         return 0, 0
     restarts = cfg.restarts
-    if cfg.parallelism > 1 and restarts > 1:
-        workers = min(cfg.parallelism, restarts)
-        chunk = (restarts + workers - 1) // workers
-        tasks = []
-        first = 0
-        while first < restarts:
-            count = min(chunk, restarts - first)
-            tasks.append((g, k, cfg.rng_seed, first, count, cfg.first_improvement))
-            first += count
-        best = None
-        for cand in _parallel_map(_local_search_chunk, tasks, workers):
-            best = _merge(best, cand)
-        return best
-    return _local_search_chunk((g, k, cfg.rng_seed, 0, restarts, cfg.first_improvement))
+    workers = min(cfg.parallelism, restarts)
+    chunk = (restarts + workers - 1) // workers
+    tasks = [
+        (g, k, cfg.rng_seed, first, min(chunk, restarts - first))
+        for first in range(0, restarts, chunk)
+    ]
+    best = None
+    for cand in _parallel_map(_local_search_chunk, tasks, workers):
+        best = _merge(best, cand)
+    return best
 
 
 def rna_local_search(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
@@ -267,13 +256,14 @@ def rna_local_search(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     if g.n < 2:
         raise InvalidInputError("local search needs n >= 2")
     start = time.perf_counter()
+    lower = rna_lower_bound(g)
     value, mask = _local_search_best(g, cfg)
     elapsed = time.perf_counter() - start
     return SolveResult(
         value=value,
         certificate=Equicut(g.n, vertices_from_mask(mask)),
         method="local_search",
-        lower_bound_used=rna_lower_bound(g),
+        lower_bound_used=lower,
         upper_bound_used=value,
         elapsed=elapsed,
         exact=False,
@@ -329,7 +319,7 @@ def rna_branch_and_bound(g: Graph, cfg: SolverConfig | None = None) -> SolveResu
         )
 
     adj = g.adj
-    pin_zero = (n % 2 == 0) or _use_symmetry(g, cfg)
+    pin_zero = _pin_zero(g)
     cap_a, cap_b = k, n - k
     state = {"limit": limit, "best_val": best_val, "best_mask": best_mask}
 
@@ -436,14 +426,11 @@ def _max_flow_unit(g: Graph, s: int, t: int, stop_at: int) -> int:
     return flow
 
 
-def rna_lower_bound(g: Graph, spanning_bound: int | None = None) -> int:
-    """Best known lower bound on the minimum equicut size.
+def rna_lower_bound(g: Graph) -> int:
+    """Lower bound on the minimum equicut size that every solver reports.
 
-    Edge connectivity is always a lower bound (removing the cut disconnects
-    the graph). A caller holding the exact value of a spanning subgraph may
-    pass it in: every equicut of g contains an equicut of the subgraph.
+    Today this is the edge connectivity: removing any cut disconnects the
+    graph. Callers that know more (the sweep knows the proven values of
+    spanning lower cycle powers) take the max with it themselves.
     """
-    lam = edge_connectivity(g)
-    if spanning_bound is None:
-        return lam
-    return max(lam, spanning_bound)
+    return edge_connectivity(g)

@@ -24,7 +24,6 @@ from .solver import (
     rna_branch_and_bound,
     rna_exhaustive,
     rna_local_search,
-    rna_lower_bound,
     _parallel_map,
 )
 
@@ -71,15 +70,15 @@ class SweepRow:
         }
 
 
-def _spanning_known_bound(n: int, d: int) -> int | None:
-    """Best proven value among lower powers: they are spanning subgraphs."""
-    best = None
+def _spanning_known_bound(n: int, d: int) -> int:
+    """Best proven value among lower powers (0 if none): they are spanning subgraphs."""
+    best = 0
     for lower_d in (1, 2, 3):
         if lower_d >= d:
             break
         val = known_rna(GraphFamilySpec("cycle_power", n, d=lower_d))
         if val is not None:
-            best = val if best is None else max(best, val)
+            best = max(best, val)
     return best
 
 
@@ -88,7 +87,6 @@ def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRo
         raise InvalidInputError(f"sweep rows need 2 <= d < floor(n/2); got n={n}, d={d}")
     g = make_cycle_power(n, d)
     construction = block_cut_value(n, d)
-    lower = rna_lower_bound(g, _spanning_known_bound(n, d))
 
     chosen = method
     if chosen == "auto":
@@ -102,6 +100,8 @@ def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRo
     else:
         raise InvalidInputError(f"unknown sweep method {method!r}")
 
+    # Every equicut of g contains one of each spanning lower power.
+    lower = max(result.lower_bound_used, _spanning_known_bound(n, d))
     exact = result.value if result.exact else None
     if exact is None:
         match = "unsolved"

@@ -12,11 +12,13 @@ from __future__ import annotations
 import random
 import tempfile
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DisconnectedGraphError
 from .formulas import (
+    block_cut_sum_identity,
     block_cut_value,
     boundary_count_closed_form,
     boundary_count_direct,
@@ -206,23 +208,13 @@ def check_formula_identities(n_max: int = 60) -> CheckResult:
                 direct = boundary_count_direct(n, d, 0, j)
                 if cf != direct:
                     failures.append(f"n={n} d={d} j={j}: closed {cf} vs direct {direct}")
-            g = make_cycle_power(n, d)
-            assembled = 0
-            if b % 2 == 1:
-                k = (b - 1) // 2
-                assembled = 2 * sum(
-                    boundary_count_closed_form(n, d, j) for j in range(k)
-                ) + boundary_count_closed_form(n, d, k)
-            else:
-                k = b // 2
-                assembled = 2 * sum(boundary_count_closed_form(n, d, j) for j in range(k))
-            direct_cut = equicut_size(g, Equicut(n, tuple(range(b))))
+            assembled, direct_cut = block_cut_sum_identity(n, d)
             want = block_cut_value(n, d)
             if not assembled == direct_cut == want:
                 failures.append(
                     f"n={n} d={d}: assembled {assembled}, direct {direct_cut}, want {want}"
                 )
-            if want > kang_upper_bound(n, g.m):
+            if want > kang_upper_bound(n, make_cycle_power(n, d).m):
                 failures.append(f"n={n} d={d}: d(d+1) above the general (2m+n)/4 bound")
     return _finish(
         "5-formula-identities",
@@ -281,14 +273,18 @@ def check_parity_machinery(pairs: int = 1000, seed: int = DEFAULT_SEED) -> Check
 
 
 def check_conjecture_sweep(out_dir: str | Path | None = None, seed: int = DEFAULT_SEED) -> CheckResult:
+    """The d=4 and d=5 sweep; without out_dir its files go to a temporary
+    directory that is removed when the check ends."""
     start = time.perf_counter()
     failures = []
-    if out_dir is None:
-        out_dir = Path(tempfile.mkdtemp(prefix="equicut-sweep-"))
-    out_dir = Path(out_dir)
     cfg = SolverConfig(rng_seed=seed)
     rows = run_sweep((10, 18), (4, 4), cfg) + run_sweep((12, 18), (5, 5), cfg)
-    sidecars = write_sweep_outputs(rows, out_dir / "conjecture_sweep.csv")
+    if out_dir is None:
+        target = tempfile.TemporaryDirectory(prefix="equicut-sweep-")
+    else:
+        target = nullcontext(out_dir)
+    with target as where:
+        sidecars = write_sweep_outputs(rows, Path(where) / "conjecture_sweep.csv")
     holds = sum(1 for r in rows if r.conjecture_match == "holds")
     fails = [r for r in rows if r.conjecture_match == "fails"]
     for row in rows:
@@ -298,10 +294,15 @@ def check_conjecture_sweep(out_dir: str | Path | None = None, seed: int = DEFAUL
             failures.append(f"n={row.n} d={row.d}: match is {row.conjecture_match}")
     if len(sidecars) != len(fails):
         failures.append(f"{len(fails)} fails rows but {len(sidecars)} sidecar files")
+    outputs = "outputs discarded" if out_dir is None else f"outputs in {out_dir}"
     detail = (
         f"{len(rows)} rows (d=4 n=10..18, d=5 n=12..18): "
-        f"{holds} holds, {len(fails)} fails; outputs in {out_dir}"
+        f"{holds} holds, {len(fails)} fails; {outputs}"
     )
+    # A fails row is a counterexample: keep its certificate even when the
+    # sidecar files are discarded.
+    for row in fails:
+        detail += f"; n={row.n} d={row.d} cut {row.exact} at {list(row.certificate)}"
     return _finish("8-conjecture-sweep", failures, detail, start)
 
 

@@ -211,6 +211,21 @@ class TestSweep:
             records = list(csv.DictReader(fh))
         assert all(r["exact"] == "" and r["conjecture_match"] == "unsolved" for r in records)
 
+    def test_missing_out_dir_exits_5_before_any_solve(self, capsys, tmp_path, monkeypatch):
+        from equicut import cli
+
+        def fake_sweep(*args, **kwargs):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n-min", "8", "--n-max", "9", "--d-min", "2", "--d-max", "2",
+            "--out", str(tmp_path / "missing" / "s.csv"),
+        )
+        assert code == 5
+        assert "i/o" in err
+
 
 class TestVerify:
     def test_formulas_suite_passes(self, capsys, tmp_path):
@@ -272,3 +287,29 @@ class TestVerify:
         assert code == 5
         assert out == ""
         assert "i/o" in err
+
+    def test_missing_json_dir_exits_5_before_any_check(self, capsys, tmp_path, monkeypatch):
+        from equicut import cli
+
+        def fake_suite(n_max):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(cli, "run_formulas_suite", fake_suite)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "formulas", "--json", str(tmp_path / "missing" / "r.json")
+        )
+        assert code == 5
+        assert out == ""
+        assert "i/o" in err
+
+    def test_json_report_may_go_in_the_new_out_dir(self, capsys, tmp_path, monkeypatch):
+        from equicut import cli
+
+        monkeypatch.setattr(cli, "run_paper_suite", lambda seed, out_dir: [])
+        out_dir = tmp_path / "new"
+        code, _, _ = run_cli(
+            capsys, "verify", "--suite", "paper",
+            "--out-dir", str(out_dir), "--json", str(out_dir / "r.json"),
+        )
+        assert code == 0
+        assert json.loads((out_dir / "r.json").read_text())["passed"] is True

@@ -1,7 +1,6 @@
 import pytest
 
 from equicut import (
-    BlockCutSpec,
     Equicut,
     GraphFamilySpec,
     InvalidInputError,
@@ -147,19 +146,6 @@ class TestBlockParams:
         assert block_params(14, 5) == ("odd", 3, 2)
         assert block_params(16, 5) == ("even", 4, 2)
         assert block_params(16, 3) == ("even", 4, 0)
-
-
-class TestBlockCutSpec:
-    def test_members_wrap_around(self):
-        spec = BlockCutSpec(11, 3, start=9)
-        assert spec.vertices() == (0, 1, 2, 9, 10)
-        assert spec.boundary_count(0) == boundary_count_direct(11, 3, 9, 0)
-
-    def test_validation(self):
-        with pytest.raises(InvalidInputError):
-            BlockCutSpec(11, 5)
-        with pytest.raises(InvalidInputError):
-            BlockCutSpec(11, 3, start=11)
 
 
 class TestKangBound:

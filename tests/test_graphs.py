@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -18,7 +19,7 @@ from equicut import (
     make_cycle_power,
     save_graph,
 )
-from equicut.graphs import MAX_VERTICES
+from equicut.graphs import MAX_VERTICES, Graph
 
 
 class TestCycle:
@@ -166,6 +167,17 @@ class TestLoader:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             graph_from_edges(4, [(0, 1), (2, 3)])
+
+    def test_rejects_asymmetric_rows(self):
+        with pytest.raises(InvalidInputError, match="asymmetric adjacency between 1 and 0"):
+            Graph(2, [0b10, 0b00])
+        rng = random.Random(31)
+        for _ in range(40):
+            rows = list(make_cycle_power(rng.randint(5, 70), 2).adj)
+            u, v = rng.sample(range(len(rows)), 2)
+            rows[u] ^= 1 << v
+            with pytest.raises(InvalidInputError, match="asymmetric"):
+                Graph(len(rows), rows)
 
     def test_rejects_oversized(self):
         with pytest.raises(InvalidInputError):

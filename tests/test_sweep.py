@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from equicut import InvalidInputError, SolverConfig, compute_sweep_row, run_sweep, write_sweep_outputs
+from equicut import (
+    InvalidInputError,
+    SolverConfig,
+    compute_sweep_row,
+    run_sweep,
+    solver,
+    write_sweep_outputs,
+)
 from equicut.sweep import CSV_COLUMNS, SweepRow
 
 
@@ -39,6 +46,30 @@ class TestComputeRow:
     def test_rejects_out_of_range_d(self):
         with pytest.raises(InvalidInputError):
             compute_sweep_row(10, 5, "auto", SolverConfig())
+
+
+class TestLowerBoundOncePerRow:
+    @pytest.fixture
+    def flow_calls(self, monkeypatch):
+        calls = []
+        real = solver.edge_connectivity
+
+        def counting(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(solver, "edge_connectivity", counting)
+        return calls
+
+    def test_exhaustive_row(self, flow_calls):
+        rows = run_sweep((14, 14), (4, 4))
+        assert [(r.method, r.lower_bound) for r in rows] == [("exhaustive", 12)]
+        assert flow_calls == [14]
+
+    def test_branch_and_bound_row(self, flow_calls):
+        row = compute_sweep_row(12, 4, "branch_and_bound", SolverConfig())
+        assert (row.method, row.lower_bound) == ("branch_and_bound", 12)
+        assert flow_calls == [12]
 
 
 class TestRunSweep:

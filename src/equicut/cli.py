@@ -64,7 +64,11 @@ def _family_spec(args: argparse.Namespace) -> GraphFamilySpec:
 
 def _require_parent_dir(path: str | None) -> None:
     """Fail (exit 5) before any work when an output file cannot be created."""
-    if path is not None and not Path(path).parent.is_dir():
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"output file {path!r} is a directory")
+    if not Path(path).parent.is_dir():
         raise FileNotFoundError(f"no such directory for output file {path!r}")
 
 

@@ -39,6 +39,18 @@ def edge_connectivity_naive(n, edges):
     return best
 
 
+def min_st_cut_naive(n, edges, s, t):
+    """Fewest edges leaving a vertex set that holds s but not t (the max s-t flow)."""
+    others = [v for v in range(n) if v not in (s, t)]
+    best = None
+    for bits in range(1 << len(others)):
+        side = {s} | {v for i, v in enumerate(others) if (bits >> i) & 1}
+        c = cut_size_edges(edges, side)
+        if best is None or c < best:
+            best = c
+    return best
+
+
 def revolving_door_swaps_recursive(n, k):
     """Reference revolving-door walk as nested generators: (enter, leave) steps
     over the k-subsets of range(n), starting at {0, ..., k-1}. The first block
@@ -58,3 +70,35 @@ def _reversed_swaps_recursive(n, k):
     yield from revolving_door_swaps_recursive(n - 1, k - 1)
     yield (k - 2, n - 1) if k >= 2 else (n - 2, n - 1)
     yield from _reversed_swaps_recursive(n - 1, k)
+
+
+def local_search_run_scan(n, edges, k, rng):
+    """Reference local-search descent: the same seeded start and move rule as
+    solver._local_search_run, found by scoring every (u in X, v outside X)
+    pair; ties go to the first pair in (u, v) order. Returns (cut, mask)."""
+    nbrs = [set() for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    side = set(rng.sample(range(n), k))
+    cut = cut_size_edges(edges, side)
+    while True:
+        best_delta = 0
+        best_swap = None
+        for u in sorted(side):
+            gain_u = 2 * len(nbrs[u] & side) - len(nbrs[u])
+            for v in range(n):
+                if v in side:
+                    continue
+                delta = gain_u + len(nbrs[v]) - 2 * len(nbrs[v] & side)
+                if v in nbrs[u]:
+                    delta += 2
+                if delta < best_delta:
+                    best_delta = delta
+                    best_swap = (u, v)
+        if best_swap is None:
+            return cut, sum(1 << v for v in side)
+        u, v = best_swap
+        cut += best_delta
+        side.remove(u)
+        side.add(v)

@@ -226,6 +226,24 @@ class TestSweep:
         assert code == 5
         assert "i/o" in err
 
+    def test_out_path_that_is_a_directory_exits_5_before_any_solve(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from equicut import cli
+
+        def fake_sweep(*args, **kwargs):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n-min", "8", "--n-max", "9", "--d-min", "2", "--d-max", "2",
+            "--out", str(tmp_path),
+        )
+        assert code == 5
+        assert out == ""
+        assert "is a directory" in err
+
 
 class TestVerify:
     def test_formulas_suite_passes(self, capsys, tmp_path):
@@ -301,6 +319,22 @@ class TestVerify:
         assert code == 5
         assert out == ""
         assert "i/o" in err
+
+    def test_json_path_that_is_a_directory_exits_5_before_any_check(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from equicut import cli
+
+        def fake_suite(n_max):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(cli, "run_formulas_suite", fake_suite)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "formulas", "--n-max", "10", "--json", str(tmp_path)
+        )
+        assert code == 5
+        assert out == ""
+        assert "is a directory" in err
 
     def test_json_report_may_go_in_the_new_out_dir(self, capsys, tmp_path, monkeypatch):
         from equicut import cli

@@ -23,7 +23,12 @@ from equicut import run_sweep, solver
 from equicut.graphs import is_rotation_symmetric
 from equicut.verify import random_circulant, random_connected_graph
 
-from oracles import edge_connectivity_naive, min_equicut_naive
+from oracles import (
+    edge_connectivity_naive,
+    local_search_run_scan,
+    min_equicut_naive,
+    min_st_cut_naive,
+)
 
 
 def small_corpus(seed, count=40, n_max=10):
@@ -181,6 +186,25 @@ class TestLocalSearch:
         par = rna_local_search(g, replace(cfg, parallelism=4))
         assert (seq.value, seq.certificate) == (par.value, par.certificate)
 
+    def test_move_selection_matches_pair_scan(self):
+        # Cycles, cycle powers and complete graphs tie on many swaps, so the
+        # (u, v) tie-break decides the descent.
+        rng = random.Random(606)
+        graphs = [make_cycle(n) for n in range(3, 30)]
+        graphs += [make_cycle_power(n, d) for n in range(5, 30) for d in range(2, (n - 1) // 2 + 1)]
+        graphs += [make_complete(n) for n in range(2, 16)]
+        graphs += [
+            random_connected_graph(rng, rng.randint(4, 40), p)
+            for p in (0.0, 0.05, 0.2, 0.6)
+            for _ in range(8)
+        ]
+        for g in graphs:
+            edges = g.edges()
+            for seed in range(5):
+                got = solver._local_search_run(g, g.n // 2, random.Random(seed))
+                want = local_search_run_scan(g.n, edges, g.n // 2, random.Random(seed))
+                assert got == want, (g.n, seed)
+
 
 class TestEdgeConnectivity:
     @pytest.mark.parametrize(
@@ -201,6 +225,39 @@ class TestEdgeConnectivity:
         for _ in range(25):
             g = random_connected_graph(rng, rng.randint(2, 9))
             assert edge_connectivity(g) == edge_connectivity_naive(g.n, g.edges())
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(406)
+        graphs = [random_connected_graph(rng, n, rng.choice((0.05, 0.15, 0.4))) for n in range(10, 61, 5)]
+        for n in range(10, 61, 10):
+            # Two dense halves joined by a few edges: lambda below the min degree.
+            a, b = random_connected_graph(rng, n // 2, 0.6), random_connected_graph(rng, n - n // 2, 0.6)
+            edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+            edges += {(rng.randrange(a.n), a.n + rng.randrange(b.n)) for _ in range(rng.randint(1, 4))}
+            graphs.append(graph_from_edges(n, edges))
+        trees = [random_connected_graph(rng, rng.randint(10, 60), 0.0) for _ in range(5)]
+        graphs += trees + [make_cycle_power(n, d) for n, d in ((20, 3), (31, 5), (60, 4))]
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert edge_connectivity(g) == nx.edge_connectivity(h)
+        assert [edge_connectivity(g) for g in trees] == [1] * 5
+
+    def test_max_flow_is_capped_at_stop_at(self):
+        # Two K_5 joined by two edges: a flow across them is 2, one inside a K_5 4 or 5.
+        bridged = graph_from_edges(
+            10,
+            [(u, v) for side in (0, 5) for u in range(side, side + 5) for v in range(u + 1, side + 5)]
+            + [(0, 5), (1, 6)],
+        )
+        for g in (bridged, random_connected_graph(random.Random(407), 9, 0.3)):
+            for s in range(g.n):
+                for t in range(s + 1, g.n):
+                    true = min_st_cut_naive(g.n, g.edges(), s, t)
+                    for stop in range(true + 2):
+                        assert solver._max_flow_unit(g, s, t, stop) == min(true, stop)
 
     def test_vertex_transitive_equals_min_degree(self):
         rng = random.Random(405)

@@ -16,14 +16,16 @@ from pathlib import Path
 
 from .errors import EnumerationCapError, InvalidInputError
 from .graphs import GraphFamilySpec, load_graph, save_graph
-from .parity import Equicut, ParityLabeling, equicut_size, is_balanced, signature_from_labeling
-from .solver import (
-    SolverConfig,
-    rna_branch_and_bound,
-    rna_exhaustive,
-    rna_local_search,
+from .parity import (
+    Equicut,
+    ParityLabeling,
+    equicut_size,
+    is_balanced,
+    negative_edge_count,
+    signature_from_labeling,
 )
-from .sweep import run_sweep, write_sweep_outputs
+from .solver import METHODS, SolverConfig
+from .sweep import SWEEP_METHODS, run_sweep, write_sweep_outputs
 from .verify import run_formulas_suite, run_paper_suite, run_solvers_suite
 
 EXIT_OK = 0
@@ -32,11 +34,10 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFY_FAILED = 4
 EXIT_IO = 5
 
-_METHODS = {
-    "exhaustive": rna_exhaustive,
-    "branch-and-bound": rna_branch_and_bound,
-    "local-search": rna_local_search,
-}
+
+def _flag(name: str) -> str:
+    """CLI spelling of a method name: branch_and_bound -> branch-and-bound."""
+    return name.replace("_", "-")
 
 
 def _worker_count(text: str) -> int:
@@ -77,7 +78,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         restarts=args.restarts,
         rng_seed=args.seed,
         parallelism=args.workers,
-        initial_upper_bound=args.upper_bound,
+        initial_upper_bound=getattr(args, "upper_bound", None),
         exhaustive_cap=args.cap,
     )
 
@@ -98,7 +99,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     cfg = _solver_config(args)
-    result = _METHODS[args.method](g, cfg)
+    result = METHODS[args.method.replace("-", "_")](g, cfg)
     print(json.dumps(result.to_json_dict()))
     return EXIT_OK
 
@@ -114,7 +115,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     cut = Equicut(g.n, labeling.even_vertices())
     out = sg.to_json_dict()
     out["f"] = list(labeling.f)
-    out["negative_count"] = sg.negative_count
+    out["negative_count"] = negative_edge_count(sg)
     out["equicut"] = list(cut.vertices)
     out["equicut_size"] = equicut_size(g, cut)
     out["balanced"] = is_balanced(sg)
@@ -181,8 +182,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--workers", type=_worker_count, default=os.environ.get("EQUICUT_WORKERS", "1"),
                    help="worker processes (default: EQUICUT_WORKERS, else 1)")
     p.add_argument("--cap", type=int, default=30, help="exhaustive enumeration cap on n")
-    p.add_argument("--upper-bound", type=int, default=None, dest="upper_bound",
-                   help="trusted initial upper bound for branch-and-bound")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -203,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one graph file")
     p.add_argument("--graph", required=True)
-    p.add_argument("--method", default="exhaustive",
-                   choices=("exhaustive", "branch-and-bound", "local-search"))
+    p.add_argument("--method", default="exhaustive", choices=[_flag(m) for m in METHODS])
     _add_solver_flags(p)
+    p.add_argument("--upper-bound", type=int, default=None, dest="upper_bound",
+                   help="trusted initial upper bound for branch-and-bound")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("label", help="apply a parity labeling to a graph file")
@@ -218,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--d-min", type=int, required=True, dest="d_min")
     p.add_argument("--d-max", type=int, required=True, dest="d_max")
-    p.add_argument("--method", default="auto",
-                   choices=("auto", "exhaustive", "branch-and-bound", "local-search"))
+    p.add_argument("--method", default="auto", choices=[_flag(m) for m in SWEEP_METHODS])
     p.add_argument("--out", required=True)
     _add_solver_flags(p)
     p.set_defaults(func=cmd_sweep)

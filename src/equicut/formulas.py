@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from .errors import InvalidInputError
 from .graphs import GraphFamilySpec, circular_distance, make_cycle_power
-from .parity import Equicut, equicut_size
 
 
 def _check_block_range(n: int, d: int) -> int:
@@ -42,15 +41,13 @@ def _check_block_range(n: int, d: int) -> int:
 
 
 def block_params(n: int, d: int) -> tuple[str, int, int]:
-    """Derive (parity_case, k, l) for the block tables; l is 0 in the small-d regime."""
+    """Derive (parity_case, k, l) for the block tables: k = floor(b/2) in both
+    cases, and l is 0 in the small-d regime."""
     b = _check_block_range(n, d)
+    k = b // 2
     if b % 2 == 1:
-        k = (b - 1) // 2
-        ell = d - k if d > k else 0
-    else:
-        k = b // 2
-        ell = d - (k - 1) if d > k - 1 else 0
-    return ("odd" if b % 2 == 1 else "even", k, ell)
+        return "odd", k, d - k if d > k else 0
+    return "even", k, d - (k - 1) if d > k - 1 else 0
 
 
 def block_cut_value(n: int, d: int) -> int:
@@ -87,23 +84,19 @@ def boundary_count_closed_form(n: int, d: int, j: int) -> int:
     Valid for j on the near side of the mid-vertex: 0 <= j <= k in the odd
     case, 0 <= j <= k-1 in the even case (the far side mirrors these).
     """
-    b = _check_block_range(n, d)
-    if b % 2 == 1:
-        k = (b - 1) // 2
+    case, k, ell = block_params(n, d)
+    if case == "odd":
         if not 0 <= j <= k:
-            raise InvalidInputError(f"offset {j} outside 0..{k} for block size {b}")
+            raise InvalidInputError(f"offset {j} outside 0..{k} for block size {n // 2}")
         if j == k:
-            return 0 if d <= k else 2 * (d - k)
+            return 0 if d <= k else 2 * ell
         if d <= k:
             return d - j if j <= d else 0
-        ell = d - k
         return d - j if j + d <= 2 * k else 2 * ell
-    k = b // 2
     if not 0 <= j <= k - 1:
-        raise InvalidInputError(f"offset {j} outside 0..{k - 1} for block size {b}")
+        raise InvalidInputError(f"offset {j} outside 0..{k - 1} for block size {n // 2}")
     if d <= k - 1:
         return d - j if j < d else 0
-    ell = d - (k - 1)
     return d - j if j + d <= 2 * k - 1 else 2 * ell - 1
 
 
@@ -113,15 +106,11 @@ def block_cut_sum_identity(n: int, d: int) -> tuple[int, int]:
     The closed-form side assembles the per-vertex counts through the block's
     mirror symmetry; the direct side evaluates the cut on the actual graph.
     """
-    b = _check_block_range(n, d)
     case, k, _ = block_params(n, d)
+    assembled = 2 * sum(boundary_count_closed_form(n, d, j) for j in range(k))
     if case == "odd":
-        assembled = 2 * sum(boundary_count_closed_form(n, d, j) for j in range(k))
         assembled += boundary_count_closed_form(n, d, k)
-    else:
-        assembled = 2 * sum(boundary_count_closed_form(n, d, j) for j in range(k))
-    g = make_cycle_power(n, d)
-    direct = equicut_size(g, Equicut(n, tuple(range(b))))
+    direct = make_cycle_power(n, d).cut_size((1 << (n // 2)) - 1)
     return assembled, direct
 
 

@@ -67,8 +67,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.adj[v]))
+    def cut_size(self, mask: int) -> int:
+        """Number of edges with exactly one endpoint in the vertex set `mask`."""
+        outside = self.full_mask & ~mask
+        return sum((self.adj[v] & outside).bit_count() for v in iter_bits(mask))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, in lexicographic order."""
@@ -114,10 +116,7 @@ def make_cycle(n: int) -> Graph:
     """Cycle u_0 u_1 ... u_{n-1} u_0."""
     if n < 3:
         raise InvalidInputError(f"cycle needs n >= 3, got {n}")
-    rows = [0] * n
-    for i in range(n):
-        rows[i] = (1 << ((i + 1) % n)) | (1 << ((i - 1) % n))
-    return Graph(n, rows)
+    return make_circulant(n, (1,))
 
 
 def make_complete(n: int) -> Graph:
@@ -137,16 +136,7 @@ def make_cycle_power(n: int, d: int) -> Graph:
         raise InvalidInputError(f"cycle power needs n >= 3, got {n}")
     if d < 1:
         raise InvalidInputError(f"cycle power needs d >= 1, got {d}")
-    if d >= n // 2:
-        return make_complete(n)
-    rows = [0] * n
-    for i in range(n):
-        row = 0
-        for t in range(1, d + 1):
-            row |= 1 << ((i + t) % n)
-            row |= 1 << ((i - t) % n)
-        rows[i] = row
-    return Graph(n, rows)
+    return make_circulant(n, range(1, min(d, n // 2) + 1))
 
 
 def make_circulant(n: int, jumps: Iterable[int]) -> Graph:

@@ -31,13 +31,6 @@ class ParityLabeling:
         self.n = n
         self.f = f
 
-    def label(self, v: int) -> int:
-        return self.f[v]
-
-    def odd_vertices(self) -> tuple[int, ...]:
-        """Vertices with odd labels; there are ceil(n/2) of them."""
-        return tuple(v for v in range(self.n) if self.f[v] % 2 == 1)
-
     def even_vertices(self) -> tuple[int, ...]:
         """Vertices with even labels; there are floor(n/2) of them."""
         return tuple(v for v in range(self.n) if self.f[v] % 2 == 0)
@@ -74,15 +67,6 @@ class SignedGraph:
             neg.add((min(u, v), max(u, v)))
         self.graph = graph
         self.neg = frozenset(neg)
-
-    def sign(self, u: int, v: int) -> int:
-        if not self.graph.has_edge(u, v):
-            raise InvalidInputError(f"({u}, {v}) is not an edge of the graph")
-        return -1 if (min(u, v), max(u, v)) in self.neg else 1
-
-    @property
-    def negative_count(self) -> int:
-        return len(self.neg)
 
     def to_json_dict(self) -> dict:
         from .graphs import graph_to_json_dict
@@ -131,13 +115,6 @@ class Equicut:
     def mask(self) -> int:
         return mask_from_vertices(self.vertices)
 
-    def complement(self) -> tuple[int, ...]:
-        inside = set(self.vertices)
-        return tuple(v for v in range(self.n) if v not in inside)
-
-    def contains(self, v: int) -> bool:
-        return bool((self.mask >> v) & 1)
-
 
 def signature_from_labeling(g: Graph, labeling: ParityLabeling) -> SignedGraph:
     """Sign every edge of g by the parity agreement of its endpoint labels."""
@@ -156,9 +133,7 @@ def equicut_size(g: Graph, cut: Equicut) -> int:
     """Number of edges with exactly one endpoint in cut's vertex set."""
     if cut.n != g.n:
         raise InvalidInputError(f"cut is over {cut.n} vertices, graph has {g.n}")
-    mask = cut.mask
-    outside = g.full_mask & ~mask
-    return sum((g.adj[v] & outside).bit_count() for v in iter_bits(mask))
+    return g.cut_size(cut.mask)
 
 
 def switch_vertices(sg: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
@@ -225,25 +200,3 @@ def is_parity_signed(sg: SignedGraph) -> tuple[bool, Equicut | None]:
     if not witnesses or {len(side0), len(side1)} != {k, n - k}:
         return False, None
     return True, Equicut(n, witnesses[0])
-
-
-def parity_switch(
-    sg: SignedGraph, u: int, v: int, cut: Equicut
-) -> tuple[SignedGraph, Equicut]:
-    """Switch a pair of vertices taken from opposite sides of the cut.
-
-    For a parity signed graph whose negative edges are the boundary of `cut`,
-    the result is again a parity signed graph, with u and v exchanged between
-    sides. Applying the same switch twice is the identity.
-    """
-    n = sg.graph.n
-    if cut.n != n:
-        raise InvalidInputError(f"cut is over {cut.n} vertices, graph has {n}")
-    if not (0 <= u < n and 0 <= v < n) or u == v:
-        raise InvalidInputError(f"need two distinct vertices in range, got ({u}, {v})")
-    u_in, v_in = cut.contains(u), cut.contains(v)
-    if u_in == v_in:
-        raise InvalidInputError(f"vertices {u} and {v} lie on the same side of the cut")
-    inside, outside = (u, v) if u_in else (v, u)
-    new_side = tuple(x for x in cut.vertices if x != inside) + (outside,)
-    return switch_vertices(sg, (u, v)), Equicut(n, new_side)

@@ -82,11 +82,6 @@ class SolveResult:
         }
 
 
-def _cut_size_mask(g: Graph, mask: int) -> int:
-    outside = g.full_mask & ~mask
-    return sum((g.adj[v] & outside).bit_count() for v in iter_bits(mask))
-
-
 def _parallel_map(fn, tasks: list, workers: int) -> list:
     """fn over tasks, in order, on at most min(workers, len(tasks), CPUs)
     processes; one process means no pool at all."""
@@ -116,7 +111,7 @@ def _min_equicut_block(g: Graph, pinned: int, lo: int, k: int) -> tuple[int, int
     if extra < 0 or extra > universe:
         raise InvalidInputError("infeasible enumeration block")
     mask = pinned | (((1 << extra) - 1) << lo)
-    cut = _cut_size_mask(g, mask)
+    cut = g.cut_size(mask)
     best_cut, best_mask = cut, mask
     # Walk elements are offsets from lo: index the rows, degrees and bits by them.
     rows = g.adj[lo:]
@@ -209,7 +204,7 @@ def _local_search_run(g: Graph, k: int, rng: random.Random) -> tuple[int, int]:
     mask = 0
     for v in rng.sample(range(g.n), k):
         mask |= 1 << v
-    cut = _cut_size_mask(g, mask)
+    cut = g.cut_size(mask)
     while True:
         levels: dict[int, int] = {}
         for v in iter_bits(g.full_mask & ~mask):
@@ -401,6 +396,14 @@ def rna_branch_and_bound(g: Graph, cfg: SolverConfig | None = None) -> SolveResu
         elapsed=elapsed,
         exact=True,
     )
+
+
+# The solve methods by the name each reports in SolveResult.method.
+METHODS = {
+    "exhaustive": rna_exhaustive,
+    "branch_and_bound": rna_branch_and_bound,
+    "local_search": rna_local_search,
+}
 
 
 def edge_connectivity(g: Graph) -> int:

@@ -18,14 +18,7 @@ from pathlib import Path
 from .errors import InvalidInputError
 from .formulas import block_cut_value, known_rna
 from .graphs import GraphFamilySpec, make_cycle_power
-from .solver import (
-    SolveResult,
-    SolverConfig,
-    rna_branch_and_bound,
-    rna_exhaustive,
-    rna_local_search,
-    _parallel_map,
-)
+from .solver import METHODS, SolveResult, SolverConfig, _parallel_map
 
 CSV_COLUMNS = [
     "family",
@@ -39,7 +32,7 @@ CSV_COLUMNS = [
     "elapsed_ms",
 ]
 
-SWEEP_METHODS = ("auto", "exhaustive", "branch_and_bound", "local_search")
+SWEEP_METHODS = ("auto", *METHODS)
 
 
 @dataclass
@@ -71,15 +64,9 @@ class SweepRow:
 
 
 def _spanning_known_bound(n: int, d: int) -> int:
-    """Best proven value among lower powers (0 if none): they are spanning subgraphs."""
-    best = 0
-    for lower_d in (1, 2, 3):
-        if lower_d >= d:
-            break
-        val = known_rna(GraphFamilySpec("cycle_power", n, d=lower_d))
-        if val is not None:
-            best = max(best, val)
-    return best
+    """Best proven value among the lower powers, which are spanning subgraphs
+    (d >= 2); the proven values 2, 6, 12 of d = 1, 2, 3 increase with d."""
+    return known_rna(GraphFamilySpec("cycle_power", n, d=min(d - 1, 3)))
 
 
 def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRow:
@@ -88,17 +75,12 @@ def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRo
     g = make_cycle_power(n, d)
     construction = block_cut_value(n, d)
 
-    chosen = method
-    if chosen == "auto":
-        chosen = "exhaustive" if n <= cfg.exhaustive_cap else "branch_and_bound"
-    if chosen == "exhaustive":
-        result = rna_exhaustive(g, cfg)
-    elif chosen == "branch_and_bound":
-        result = rna_branch_and_bound(g, replace(cfg, initial_upper_bound=construction))
-    elif chosen == "local_search":
-        result = rna_local_search(g, cfg)
-    else:
+    if method == "auto":
+        method = "exhaustive" if n <= cfg.exhaustive_cap else "branch_and_bound"
+    if method not in METHODS:
         raise InvalidInputError(f"unknown sweep method {method!r}")
+    # Only branch and bound reads the construction as its trusted bound.
+    result = METHODS[method](g, replace(cfg, initial_upper_bound=construction))
 
     # Every equicut of g contains one of each spanning lower power.
     lower = max(result.lower_bound_used, _spanning_known_bound(n, d))

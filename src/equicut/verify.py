@@ -20,6 +20,7 @@ from .errors import DisconnectedGraphError
 from .formulas import (
     block_cut_sum_identity,
     block_cut_value,
+    block_params,
     boundary_count_closed_form,
     boundary_count_direct,
     kang_upper_bound,
@@ -126,15 +127,12 @@ def solver_corpus(
 # shared solve table for the cycle-power checks
 
 
-def solve_cycle_power_table(
-    n_max: int = 22, cfg: SolverConfig | None = None
-) -> dict[tuple[int, int], SolveResult]:
+def solve_cycle_power_table(n_max: int = 22) -> dict[tuple[int, int], SolveResult]:
     """Exact values of every cycle power with 5 <= n <= n_max, 2 <= d < floor(n/2)."""
-    cfg = cfg or SolverConfig()
     table: dict[tuple[int, int], SolveResult] = {}
     for n in range(5, n_max + 1):
         for d in range(2, n // 2):
-            table[(n, d)] = rna_exhaustive(make_cycle_power(n, d), cfg)
+            table[(n, d)] = rna_exhaustive(make_cycle_power(n, d))
     return table
 
 
@@ -199,10 +197,10 @@ def check_formula_identities(n_max: int = 60) -> CheckResult:
     failures = []
     instances = 0
     for n in range(5, n_max + 1):
-        b = n // 2
-        for d in range(2, b):
+        for d in range(2, n // 2):
             instances += 1
-            near = (b - 1) // 2 if b % 2 == 1 else b // 2 - 1
+            case, k, _ = block_params(n, d)
+            near = k if case == "odd" else k - 1
             for j in range(near + 1):
                 cf = boundary_count_closed_form(n, d, j)
                 direct = boundary_count_direct(n, d, 0, j)
@@ -214,7 +212,7 @@ def check_formula_identities(n_max: int = 60) -> CheckResult:
                 failures.append(
                     f"n={n} d={d}: assembled {assembled}, direct {direct_cut}, want {want}"
                 )
-            if want > kang_upper_bound(n, make_cycle_power(n, d).m):
+            if want > kang_upper_bound(n, n * d):
                 failures.append(f"n={n} d={d}: d(d+1) above the general (2m+n)/4 bound")
     return _finish(
         "5-formula-identities",

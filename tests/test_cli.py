@@ -211,6 +211,25 @@ class TestSweep:
             records = list(csv.DictReader(fh))
         assert all(r["exact"] == "" and r["conjecture_match"] == "unsolved" for r in records)
 
+    def test_upper_bound_flag_is_rejected(self, capsys, tmp_path, monkeypatch):
+        # The sweep always hands branch and bound the block construction as
+        # its bound, so --upper-bound belongs to solve alone.
+        from equicut import cli
+
+        def fake_sweep(*args, **kwargs):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--n-min", "12", "--n-max", "12", "--d-min", "3", "--d-max", "3",
+                "--method", "branch-and-bound", "--upper-bound", "1",
+                "--out", str(tmp_path / "x.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "--upper-bound" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_missing_out_dir_exits_5_before_any_solve(self, capsys, tmp_path, monkeypatch):
         from equicut import cli
 

@@ -48,6 +48,11 @@ class TestCyclePower:
         assert make_cycle_power(5, 2) == make_complete(5)
         assert make_cycle_power(5, 2).m == 10
         assert make_cycle_power(8, 4) == make_complete(8)
+        for n in range(3, 41):
+            for d in range(n // 2, n + 2):
+                assert make_cycle_power(n, d) == make_complete(n), (n, d)
+            assert make_cycle(n) == make_circulant(n, (1,))
+            assert make_cycle(n) == graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
     def test_regularity(self):
         g = make_cycle_power(7, 2)

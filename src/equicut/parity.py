@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .bitset import iter_bits, mask_from_vertices
 from .errors import InvalidInputError
-from .graphs import Graph
+from .graphs import Graph, _is_json_int
 
 
 class ParityLabeling:
@@ -22,10 +22,13 @@ class ParityLabeling:
     __slots__ = ("n", "f")
 
     def __init__(self, labels: Iterable[int]):
-        f = tuple(int(x) for x in labels)
+        f = tuple(labels)
         n = len(f)
         if n < 1:
             raise InvalidInputError("labeling must cover at least one vertex")
+        for x in f:
+            if not _is_json_int(x):
+                raise InvalidInputError(f"labels must be integers, got {x!r}")
         if sorted(f) != list(range(1, n + 1)):
             raise InvalidInputError(f"labels must be a bijection onto 1..{n}, got {f}")
         self.n = n
@@ -45,8 +48,11 @@ class ParityLabeling:
         f = data["f"]
         if not isinstance(f, list):
             raise InvalidInputError('"f" must be a list of labels')
-        if "n" in data and int(data["n"]) != len(f):
-            raise InvalidInputError('"n" disagrees with len(f)')
+        if "n" in data:
+            if not _is_json_int(data["n"]):
+                raise InvalidInputError(f'"n" must be an integer, got {data["n"]!r}')
+            if data["n"] != len(f):
+                raise InvalidInputError('"n" disagrees with len(f)')
         return cls(f)
 
     def __repr__(self) -> str:

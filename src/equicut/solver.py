@@ -28,6 +28,7 @@ import os
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import reduce
 from multiprocessing import Pool
 
 from .bitset import MAX_WALK_N, iter_bits, subset_precedes, swap_chunks, vertices_from_mask
@@ -83,21 +84,37 @@ class SolveResult:
 
 
 def _parallel_map(fn, tasks: list, workers: int) -> list:
-    """fn over tasks, in order, on at most min(workers, len(tasks), CPUs)
-    processes; one process means no pool at all."""
+    """fn(*task) for each task, in order, on at most min(workers, len(tasks),
+    CPUs) processes; one process means no pool at all."""
     size = min(workers, len(tasks), os.cpu_count() or 1)
     if size <= 1:
-        return [fn(task) for task in tasks]
+        return [fn(*task) for task in tasks]
     with Pool(size) as pool:
-        return pool.map(fn, tasks)
+        return pool.starmap(fn, tasks)
 
 
-def _merge(best: tuple[int, int] | None, cand: tuple[int, int]) -> tuple[int, int]:
-    if best is None:
-        return cand
+def _merge(best: tuple[int, int], cand: tuple[int, int]) -> tuple[int, int]:
     if cand[0] < best[0] or (cand[0] == best[0] and subset_precedes(cand[1], best[1])):
         return cand
     return best
+
+
+def _solve(g: Graph, method: str, search) -> SolveResult:
+    """Run search(lower) under one clock, lower = rna_lower_bound(g) being
+    timed too, and wrap the (value, mask, upper, exact) it returns."""
+    start = time.perf_counter()
+    lower = rna_lower_bound(g)
+    value, mask, upper, exact = search(lower)
+    elapsed = time.perf_counter() - start
+    return SolveResult(
+        value=value,
+        certificate=Equicut(g.n, vertices_from_mask(mask)),
+        method=method,
+        lower_bound_used=lower,
+        upper_bound_used=upper,
+        elapsed=elapsed,
+        exact=exact,
+    )
 
 
 def _min_equicut_block(g: Graph, pinned: int, lo: int, k: int) -> tuple[int, int]:
@@ -128,19 +145,16 @@ def _min_equicut_block(g: Graph, pinned: int, lo: int, k: int) -> tuple[int, int
     return best_cut, best_mask
 
 
-def _block_task(args: tuple[Graph, int, int, int]) -> tuple[int, int]:
-    return _min_equicut_block(*args)
-
-
 def _pin_zero(g: Graph) -> bool:
     """Whether vertex 0 may be fixed on side A (the side of floor(n/2)).
 
     For even n a subset and its complement cut the same edges. Under rotation
     symmetry every rotation class of subsets, including the one holding the
     lexicographically smallest minimizer, has a member containing vertex 0.
-    Otherwise (odd n, no symmetry) pinning can miss the minimum.
+    Otherwise (odd n, no symmetry) pinning can miss the minimum, and for
+    n = 1 side A is empty.
     """
-    return g.n % 2 == 0 or is_rotation_symmetric(g)
+    return g.n % 2 == 0 or (g.n > 1 and is_rotation_symmetric(g))
 
 
 def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
@@ -152,8 +166,6 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     for; results are identical for any worker count.
     """
     cfg = cfg or SolverConfig()
-    if g.n < 2:
-        raise InvalidInputError("exhaustive solving needs n >= 2")
     if g.n > cfg.exhaustive_cap:
         raise EnumerationCapError(
             f"n={g.n} exceeds the enumeration cap {cfg.exhaustive_cap}; "
@@ -161,32 +173,20 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         )
     if g.n > MAX_WALK_N:
         raise EnumerationCapError(f"exhaustive enumeration supports n <= {MAX_WALK_N}, got n={g.n}")
-    start = time.perf_counter()
-    lower = rna_lower_bound(g)
-    k = g.n // 2
-    pin_zero = _pin_zero(g)
 
-    if cfg.parallelism == 1 or k < 2:
-        tasks = [(g, 1, 1, k)] if pin_zero else [(g, 0, 0, k)]
-    elif pin_zero:
-        tasks = [(g, 1 | (1 << s), s + 1, k) for s in range(1, g.n - k + 2)]
-    else:
-        tasks = [(g, 1 << s, s + 1, k) for s in range(0, g.n - k + 1)]
-    best = None
-    for cand in _parallel_map(_block_task, tasks, cfg.parallelism):
-        best = _merge(best, cand)
+    def search(lower: int) -> tuple[int, int, int, bool]:
+        k = g.n // 2
+        pin_zero = _pin_zero(g)
+        if cfg.parallelism == 1 or k < 2:
+            tasks = [(g, 1, 1, k)] if pin_zero else [(g, 0, 0, k)]
+        elif pin_zero:
+            tasks = [(g, 1 | (1 << s), s + 1, k) for s in range(1, g.n - k + 2)]
+        else:
+            tasks = [(g, 1 << s, s + 1, k) for s in range(0, g.n - k + 1)]
+        value, mask = reduce(_merge, _parallel_map(_min_equicut_block, tasks, cfg.parallelism))
+        return value, mask, value, True
 
-    value, mask = best
-    elapsed = time.perf_counter() - start
-    return SolveResult(
-        value=value,
-        certificate=Equicut(g.n, vertices_from_mask(mask)),
-        method="exhaustive",
-        lower_bound_used=lower,
-        upper_bound_used=value,
-        elapsed=elapsed,
-        exact=True,
-    )
+    return _solve(g, "exhaustive", search)
 
 
 def _local_search_run(g: Graph, k: int, rng: random.Random) -> tuple[int, int]:
@@ -243,20 +243,17 @@ def _restart_seed(base: int, index: int) -> int:
     return base * _SEED_STRIDE + index
 
 
-def _local_search_chunk(args: tuple[Graph, int, int, int, int]) -> tuple[int, int]:
-    g, k, seed_base, first, count = args
-    best = None
-    for r in range(first, first + count):
-        rng = random.Random(_restart_seed(seed_base, r))
-        best = _merge(best, _local_search_run(g, k, rng))
-    return best
+def _local_search_chunk(g: Graph, k: int, seed_base: int, first: int, count: int) -> tuple[int, int]:
+    return reduce(
+        _merge,
+        (_local_search_run(g, k, random.Random(_restart_seed(seed_base, r)))
+         for r in range(first, first + count)),
+    )
 
 
 def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
     """Best of cfg.restarts seeded runs, split into one chunk per worker."""
     k = g.n // 2
-    if k == 0:
-        return 0, 0
     restarts = cfg.restarts
     workers = min(cfg.parallelism, restarts)
     chunk = (restarts + workers - 1) // workers
@@ -264,35 +261,29 @@ def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
         (g, k, cfg.rng_seed, first, min(chunk, restarts - first))
         for first in range(0, restarts, chunk)
     ]
-    best = None
-    for cand in _parallel_map(_local_search_chunk, tasks, workers):
-        best = _merge(best, cand)
-    return best
+    return reduce(_merge, _parallel_map(_local_search_chunk, tasks, workers))
 
 
 def rna_local_search(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Heuristic upper bound: repeated best-improvement cross-pair swaps from
     seeded random starts. The returned value is always >= the exact optimum."""
     cfg = cfg or SolverConfig()
-    if g.n < 2:
-        raise InvalidInputError("local search needs n >= 2")
-    start = time.perf_counter()
-    lower = rna_lower_bound(g)
-    value, mask = _local_search_best(g, cfg)
-    elapsed = time.perf_counter() - start
-    return SolveResult(
-        value=value,
-        certificate=Equicut(g.n, vertices_from_mask(mask)),
-        method="local_search",
-        lower_bound_used=lower,
-        upper_bound_used=value,
-        elapsed=elapsed,
-        exact=False,
-    )
+
+    def search(lower: int) -> tuple[int, int, int, bool]:
+        value, mask = _local_search_best(g, cfg)
+        return value, mask, value, False
+
+    return _solve(g, "local_search", search)
 
 
 def rna_branch_and_bound(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
-    """Exact minimum equicut by depth-first side assignment.
+    """Exact minimum equicut by depth-first side assignment (see _branch_and_bound)."""
+    cfg = cfg or SolverConfig()
+    return _solve(g, "branch_and_bound", lambda lam: _branch_and_bound(g, cfg, lam))
+
+
+def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, int, bool]:
+    """(value, mask, upper bound used, exact) by depth-first side assignment.
 
     Vertices 0..n-1 are assigned in order to side A (capacity floor(n/2)) or
     side B (capacity ceil(n/2)). A branch is pruned when the crossing edges
@@ -303,46 +294,24 @@ def rna_branch_and_bound(g: Graph, cfg: SolverConfig | None = None) -> SolveResu
 
     The incumbent comes from cfg.initial_upper_bound when given (the caller
     promises it is a true upper bound, e.g. a known construction value),
-    otherwise from a short local search. Search runs single-threaded so
-    results do not depend on cfg.parallelism.
+    otherwise from a short local search, which is returned at once when it
+    meets the lower bound lam. Search runs single-threaded so results do not
+    depend on cfg.parallelism.
     """
-    cfg = cfg or SolverConfig()
-    start = time.perf_counter()
     n = g.n
-    k = n // 2
-    lam = rna_lower_bound(g)
-
-    if n == 1:
-        return SolveResult(0, Equicut(1, ()), "branch_and_bound", 0, 0, 0.0, True)
-
     if cfg.initial_upper_bound is not None:
-        ub_used = cfg.initial_upper_bound
-        best_val: int | None = None
-        best_mask = 0
-        limit = ub_used + 1
+        upper = cfg.initial_upper_bound
+        best = None
+        limit = upper + 1
     else:
-        seed_cfg = replace(cfg, restarts=min(cfg.restarts, 12), parallelism=1)
-        ls_val, ls_mask = _local_search_best(g, seed_cfg)
-        ub_used = ls_val
-        best_val, best_mask = ls_val, ls_mask
-        limit = ls_val
-
-    if best_val is not None and best_val <= lam:
-        elapsed = time.perf_counter() - start
-        return SolveResult(
-            best_val,
-            Equicut(n, vertices_from_mask(best_mask)),
-            "branch_and_bound",
-            lam,
-            ub_used,
-            elapsed,
-            True,
-        )
+        best = _local_search_best(g, replace(cfg, restarts=min(cfg.restarts, 12), parallelism=1))
+        upper = limit = best[0]
+        if upper <= lam:
+            return (*best, upper, True)
 
     adj = g.adj
     pin_zero = _pin_zero(g)
-    cap_a, cap_b = k, n - k
-    state = {"limit": limit, "best_val": best_val, "best_mask": best_mask}
+    cap_a, cap_b = n // 2, n - n // 2
 
     def completion_bound(t: int, amask: int, bmask: int, slots_b: int) -> int:
         total_b = 0
@@ -358,44 +327,32 @@ def rna_branch_and_bound(g: Graph, cfg: SolverConfig | None = None) -> SolveResu
         return total_b
 
     def dfs(t: int, amask: int, bmask: int, ca: int, cb: int, cur: int) -> None:
-        if cur + completion_bound(t, amask, bmask, cap_b - cb) >= state["limit"]:
+        nonlocal limit, best
+        if cur + completion_bound(t, amask, bmask, cap_b - cb) >= limit:
             return
         if t == n:
-            state["limit"] = cur
-            state["best_val"] = cur
-            state["best_mask"] = amask
+            limit = cur
+            best = (cur, amask)
             return
-        v = t
-        cost_a = (adj[v] & bmask).bit_count()
-        cost_b = (adj[v] & amask).bit_count()
+        # (cost, side) with side A = 0, so ties try A first.
         branches = []
         if ca < cap_a:
-            branches.append(("A", cost_a))
+            branches.append(((adj[t] & bmask).bit_count(), 0))
         if cb < cap_b and not (t == 0 and pin_zero):
-            branches.append(("B", cost_b))
-        branches.sort(key=lambda x: x[1])
-        for side, cost in branches:
-            if side == "A":
-                dfs(t + 1, amask | (1 << v), bmask, ca + 1, cb, cur + cost)
+            branches.append(((adj[t] & amask).bit_count(), 1))
+        for cost, side in sorted(branches):
+            if side == 0:
+                dfs(t + 1, amask | (1 << t), bmask, ca + 1, cb, cur + cost)
             else:
-                dfs(t + 1, amask, bmask | (1 << v), ca, cb + 1, cur + cost)
+                dfs(t + 1, amask, bmask | (1 << t), ca, cb + 1, cur + cost)
 
     dfs(0, 0, 0, 0, 0, 0)
 
-    if state["best_val"] is None:
+    if best is None:
         raise InvalidInputError(
             "initial_upper_bound is below the true optimum; no equicut found within it"
         )
-    elapsed = time.perf_counter() - start
-    return SolveResult(
-        value=state["best_val"],
-        certificate=Equicut(n, vertices_from_mask(state["best_mask"])),
-        method="branch_and_bound",
-        lower_bound_used=lam,
-        upper_bound_used=ub_used,
-        elapsed=elapsed,
-        exact=True,
-    )
+    return (*best, upper, True)
 
 
 # The solve methods by the name each reports in SolveResult.method.

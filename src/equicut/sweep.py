@@ -111,10 +111,6 @@ def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRo
     )
 
 
-def _row_task(args: tuple[int, int, str, SolverConfig]) -> SweepRow:
-    return compute_sweep_row(*args)
-
-
 def run_sweep(
     n_range: tuple[int, int],
     d_range: tuple[int, int],
@@ -132,7 +128,7 @@ def run_sweep(
         for d in range(d_range[0], d_range[1] + 1)
         if 2 <= d < n // 2
     ]
-    return _parallel_map(_row_task, grid, workers)
+    return _parallel_map(compute_sweep_row, grid, workers)
 
 
 def write_sweep_outputs(rows: list[SweepRow], out_path: str | Path) -> list[Path]:

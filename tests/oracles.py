@@ -51,25 +51,29 @@ def min_st_cut_naive(n, edges, s, t):
     return best
 
 
-def revolving_door_swaps_recursive(n, k):
-    """Reference revolving-door walk as nested generators: (enter, leave) steps
-    over the k-subsets of range(n), starting at {0, ..., k-1}. The first block
-    covers the subsets avoiding n-1, the second the subsets containing n-1 in
-    reverse."""
-    if k <= 0 or k >= n:
-        return
-    yield from revolving_door_swaps_recursive(n - 1, k)
-    yield (n - 1, k - 2) if k >= 2 else (n - 1, n - 2)
-    yield from _reversed_swaps_recursive(n - 1, k - 1)
+def revolving_door_walks(n):
+    """Reference revolving-door walks over range(n), indexed by k: walk k is
+    the list of (enter, leave) steps over the k-subsets, starting at
+    {0, ..., k-1}. The first block covers the subsets avoiding n-1, the
+    second the subsets containing n-1 in reverse.
 
-
-def _reversed_swaps_recursive(n, k):
-    # The forward walk of (n, k) backwards, entered at its last subset.
-    if k <= 0 or k >= n:
-        return
-    yield from revolving_door_swaps_recursive(n - 1, k - 1)
-    yield (k - 2, n - 1) if k >= 2 else (n - 2, n - 1)
-    yield from _reversed_swaps_recursive(n - 1, k)
+    Built bottom-up from the walks over range(n-1), one level at a time, so
+    each level is computed once for every k. Steps are shared tuples from a
+    pair table, so a walk costs one list slot per step.
+    """
+    pair = [[(e, l) for l in range(n)] for e in range(n)]
+    walks = [[]]
+    for m in range(1, n + 1):
+        # A reversed walk runs the steps backwards with enter and leave swapped.
+        walks = [
+            walks[j]
+            + [pair[m - 1][j - 2] if j >= 2 else pair[m - 1][m - 2]]
+            + [pair[l][e] for e, l in reversed(walks[j - 1])]
+            if 0 < j < m
+            else []
+            for j in range(m + 1)
+        ]
+    return walks
 
 
 def local_search_run_scan(n, edges, k, rng):

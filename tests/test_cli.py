@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from equicut.cli import main
+from equicut.solver import METHODS
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +47,15 @@ class TestGen:
         )
         assert code == 2
         assert "error" in err
+
+    def test_range_error_comes_from_the_builder_before_any_note(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "gen", "--family", "cycle-power", "--n", "2", "--d", "1",
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "cycle power needs n >= 3, got 2" in err
+        assert "note:" not in err
 
     def test_reproducible_bytes(self, capsys, tmp_path):
         a = gen(capsys, tmp_path, "a.json", "--family", "circulant", "--n", "9", "--jumps", "1,3")
@@ -89,6 +99,17 @@ class TestSolve:
         result = json.loads(out)
         assert result["exact"] is False
         assert result["value"] >= 6
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_single_vertex(self, capsys, tmp_path, method):
+        path = tmp_path / "k1.json"
+        path.write_text(json.dumps({"n": 1, "edges": []}))
+        code, out, _ = run_cli(
+            capsys, "solve", "--graph", str(path), "--method", method.replace("_", "-")
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert (result["value"], result["certificate"]) == (0, [])
 
     def test_disconnected_graph_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
@@ -167,6 +188,25 @@ class TestLabel:
         lab.write_text(json.dumps({"n": 6, "f": [1, 1, 2, 3, 4, 5]}))
         code, _, _ = run_cli(capsys, "label", "--graph", str(graph), "--labeling", str(lab))
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"n": 4, "f": [1.9, 2, 3, 4]},
+            {"f": [True, 2, 3, 4]},
+            {"n": 4.0, "f": [1, 2, 3, 4]},
+            {"n": "x", "f": [1, 2, 3, 4]},
+            {"f": [[1], 2, 3, 4]},
+        ],
+    )
+    def test_non_integer_labeling_json_exits_2(self, capsys, tmp_path, payload):
+        graph = gen(capsys, tmp_path, "c4.json", "--family", "cycle", "--n", "4")
+        lab = tmp_path / "lab.json"
+        lab.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "label", "--graph", str(graph), "--labeling", str(lab))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
 
 
 class TestSweep:

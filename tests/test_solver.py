@@ -92,8 +92,8 @@ class TestExhaustive:
 
     def test_tiny_instances(self):
         assert rna_exhaustive(make_complete(2)).value == 1
-        with pytest.raises(InvalidInputError):
-            rna_exhaustive(make_complete(1))
+        k1 = rna_exhaustive(make_complete(1))
+        assert (k1.value, k1.certificate.vertices) == (0, ())
 
     def test_worker_count_does_not_change_result(self):
         for g in (make_cycle_power(12, 2), make_cycle_power(13, 4)):
@@ -323,8 +323,8 @@ class TestParallelMap:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
+            def starmap(self, fn, tasks):
+                return [fn(*task) for task in tasks]
 
         monkeypatch.setattr(solver, "Pool", FakePool)
         monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
@@ -338,6 +338,6 @@ class TestParallelMap:
 
     def test_single_slot_runs_inline(self, monkeypatch):
         monkeypatch.setattr(solver, "Pool", None)
-        assert solver._parallel_map(abs, [-1, 2, -3], 1) == [1, 2, 3]
+        assert solver._parallel_map(abs, [(-1,), (2,), (-3,)], 1) == [1, 2, 3]
         monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
-        assert solver._parallel_map(abs, [-4, 5], 8) == [4, 5]
+        assert solver._parallel_map(abs, [(-4,), (5,)], 8) == [4, 5]

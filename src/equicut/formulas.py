@@ -121,14 +121,20 @@ def known_rna(spec: GraphFamilySpec) -> int | None:
     with d >= floor(n/2) (complete collapse), d = 1 (cycle), d = 2 (6) and
     d = 3 (12). For 4 <= d < floor(n/2) the value d(d+1) is conjectured, not
     proven, so nothing is returned; the sweep reports those as findings.
+    Specs no builder accepts (a cycle or cycle power with n < 3 or d < 1,
+    a complete graph with n < 1) get nothing either.
     """
     n = spec.n
     if spec.family == "complete":
-        return (n // 2) * ((n + 1) // 2)
+        return (n // 2) * ((n + 1) // 2) if n >= 1 else None
+    if n < 3:
+        return None
     if spec.family == "cycle":
         return 2
     if spec.family == "cycle_power":
         d = spec.d
+        if d < 1:
+            return None
         if d >= n // 2:
             return (n // 2) * ((n + 1) // 2)
         if d == 1:

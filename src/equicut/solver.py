@@ -9,14 +9,18 @@ for both views. Three methods are provided:
   comes from bitset.swap_chunks as cached flat byte strings, so the inner
   loop runs over plain bytes;
 * branch_and_bound - assigns vertices to sides with running capacities and
-  an admissible greedy completion bound;
+  an admissible completion bound: a greedy split for the edges into the
+  assigned vertices, plus the edge connectivity of the subgraph induced on
+  the unassigned suffix when both sides still take one of its vertices
+  (computed once per solve for every suffix);
 * local_search - seeded multi-restart best-improvement pair swaps; each
   move groups the outside vertices into gain-level masks, so picking the
   best swap costs O(n) popcounts; returns an upper bound, never below the
   optimum.
 
 Every solver reports the edge connectivity as its lower bound, computed by
-unit-capacity max-flow over bitmask residual rows.
+unit-capacity max-flow over bitmask residual rows from one vertex to the
+rest of a dominating set.
 
 Worker processes go through _parallel_map, which never starts more
 processes than there are tasks or CPUs.
@@ -30,6 +34,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import reduce
 from multiprocessing import Pool
+from typing import Sequence
 
 from .bitset import MAX_WALK_N, iter_bits, subset_precedes, swap_chunks, vertices_from_mask
 from .errors import EnumerationCapError, InvalidInputError
@@ -288,9 +293,20 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     Vertices 0..n-1 are assigned in order to side A (capacity floor(n/2)) or
     side B (capacity ceil(n/2)). A branch is pruned when the crossing edges
     already fixed plus an admissible completion bound cannot beat the
-    incumbent. The completion bound assigns each unassigned vertex greedily:
-    every vertex charges its edges into the opposite assigned side, and the
-    cheapest capacity-feasible split of the unassigned vertices is taken.
+    incumbent. The completion bound has two terms, bounding two disjoint
+    edge sets, so their sum is admissible too:
+
+    * edges from unassigned to assigned vertices: every unassigned vertex
+      charges its edges into the opposite assigned side, and the cheapest
+      capacity-feasible split of the unassigned vertices is taken;
+    * edges among the unassigned vertices t..n-1: when both sides still have
+      free slots, every completion splits them into two nonempty parts, so
+      it cuts at least inner[t], the edge connectivity of the subgraph they
+      induce (see _suffix_connectivity).
+
+    A stronger admissible bound prunes only subtrees holding no leaf below
+    the limit, so the incumbents are found in the same order as with the
+    first term alone; only the node count drops.
 
     The incumbent comes from cfg.initial_upper_bound when given (the caller
     promises it is a true upper bound, e.g. a known construction value),
@@ -312,23 +328,11 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     adj = g.adj
     pin_zero = _pin_zero(g)
     cap_a, cap_b = n // 2, n - n // 2
-
-    def completion_bound(t: int, amask: int, bmask: int, slots_b: int) -> int:
-        total_b = 0
-        diffs = []
-        for v in range(t, n):
-            a = (adj[v] & amask).bit_count()
-            b = (adj[v] & bmask).bit_count()
-            total_b += b
-            diffs.append(a - b)
-        if slots_b:
-            diffs.sort()
-            total_b += sum(diffs[:slots_b])
-        return total_b
+    inner = _suffix_connectivity(adj)
 
     def dfs(t: int, amask: int, bmask: int, ca: int, cb: int, cur: int) -> None:
         nonlocal limit, best
-        if cur + completion_bound(t, amask, bmask, cap_b - cb) >= limit:
+        if cur + _completion_bound(adj, inner, t, amask, bmask, cap_b - cb) >= limit:
             return
         if t == n:
             limit = cur
@@ -355,6 +359,29 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     return (*best, upper, True)
 
 
+def _completion_bound(
+    adj: Sequence[int], inner: Sequence[int], t: int, amask: int, bmask: int, slots_b: int
+) -> int:
+    """Lower bound on the edges still to be cut once vertices 0..t-1 sit on
+    sides amask and bmask and slots_b of the vertices t..n-1 must join side
+    B; inner is _suffix_connectivity(adj). See _branch_and_bound.
+    """
+    n = len(adj)
+    total_b = 0
+    diffs = []
+    for v in range(t, n):
+        a = (adj[v] & amask).bit_count()
+        b = (adj[v] & bmask).bit_count()
+        total_b += b
+        diffs.append(a - b)
+    if slots_b:
+        diffs.sort()
+        total_b += sum(diffs[:slots_b])
+        if slots_b < n - t:
+            total_b += inner[t]
+    return total_b
+
+
 # The solve methods by the name each reports in SolveResult.method.
 METHODS = {
     "exhaustive": rna_exhaustive,
@@ -364,24 +391,64 @@ METHODS = {
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Edge connectivity via n-1 unit-capacity max-flow runs from vertex 0.
+    """Edge connectivity via unit-capacity max-flow runs from vertex 0 (see
+    _rows_connectivity).
 
     Connected vertex-transitive graphs attain their minimum degree here.
     Returns 0 for a single vertex (nothing to disconnect).
     """
-    n = g.n
-    if n == 1:
+    return _rows_connectivity(g.adj)
+
+
+def _rows_connectivity(adj: Sequence[int]) -> int:
+    """Edge connectivity of the graph with adjacency rows adj on vertices
+    0..len(adj)-1; 0 when it is disconnected or has fewer than 2 vertices.
+
+    Max-flows run from vertex 0 to the other members of a dominating set,
+    each capped at the least cut found so far (at first the minimum degree
+    δ). That suffices (Matula 1987): a cut of fewer than δ edges has more
+    than δ vertices on each side, so each side holds a vertex with no cut
+    edge, and that vertex or a neighbour, all on its side, is in the set.
+    The set is built greedily: vertex 0, then the lowest vertex not yet
+    dominated, until none is left.
+    """
+    if len(adj) < 2:
         return 0
-    best = min(g.degree(v) for v in range(n))
-    for target in range(1, n):
-        flow = _max_flow_unit(g, 0, target, best)
-        if flow < best:
-            best = flow
+    best = min(row.bit_count() for row in adj)
+    undominated = ((1 << len(adj)) - 1) & ~(adj[0] | 1)
+    while undominated:
+        target = (undominated & -undominated).bit_length() - 1
+        best = min(best, _max_flow_unit(adj, 0, target, best))
+        undominated &= ~(adj[target] | (1 << target))
     return best
 
 
-def _max_flow_unit(g: Graph, s: int, t: int, stop_at: int) -> int:
-    """min(max s-t flow, stop_at), every edge carrying one unit each way.
+def _suffix_connectivity(adj: Sequence[int]) -> list[int]:
+    """inner[t] for t = 0..n: the edge connectivity of the subgraph induced
+    on vertices t..n-1, 0 when it is disconnected or has fewer than 2
+    vertices.
+
+    Adding vertex t to S = {t+1, ..., n-1}: a cut of S + t either leaves t
+    alone, at the cost of its degree, or restricts to a cut of S, so
+    λ(S + t) >= min(λ(S), δ(S + t)) with δ the minimum degree. λ never
+    exceeds δ, so λ(S + t) = δ(S + t) whenever λ(S) >= δ(S + t), and only
+    the other suffixes run max-flows.
+    """
+    n = len(adj)
+    inner = [0] * (n + 1)
+    for t in range(n - 2, -1, -1):
+        rows = [row >> t for row in adj[t:]]
+        least = min(row.bit_count() for row in rows)
+        if inner[t + 1] >= least:
+            inner[t] = least
+        else:
+            inner[t] = _rows_connectivity(rows)
+    return inner
+
+
+def _max_flow_unit(adj: Sequence[int], s: int, t: int, stop_at: int) -> int:
+    """min(max s-t flow, stop_at) in the graph with adjacency rows adj, every
+    edge carrying one unit each way.
 
     The residual graph is kept as bitmask rows: out[u] holds the v with a
     residual arc u -> v and into[v] the u with one. A unit sent u -> v over
@@ -390,8 +457,8 @@ def _max_flow_unit(g: Graph, s: int, t: int, stop_at: int) -> int:
     out-rows of each frontier under a seen mask, and the path is walked back
     from t through into-rows, one layer at a time.
     """
-    out = list(g.adj)
-    into = list(g.adj)
+    out = list(adj)
+    into = list(adj)
     t_bit = 1 << t
     flow = 0
     while flow < stop_at:

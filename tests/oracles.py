@@ -106,3 +106,69 @@ def local_search_run_scan(n, edges, k, rng):
         cut += best_delta
         side.remove(u)
         side.add(v)
+
+
+def branch_and_bound_greedy(g, cfg, lam):
+    """Reference branch and bound with the greedy completion bound only: the
+    search as it stood before the suffix edge-connectivity term was added,
+    kept to show that the stronger bound changes no result. Returns the same
+    (value, mask, upper bound used, exact) as solver._branch_and_bound."""
+    from dataclasses import replace
+
+    from equicut.errors import InvalidInputError
+    from equicut.solver import _local_search_best, _pin_zero
+
+    n = g.n
+    if cfg.initial_upper_bound is not None:
+        upper = cfg.initial_upper_bound
+        best = None
+        limit = upper + 1
+    else:
+        best = _local_search_best(g, replace(cfg, restarts=min(cfg.restarts, 12), parallelism=1))
+        upper = limit = best[0]
+        if upper <= lam:
+            return (*best, upper, True)
+
+    adj = g.adj
+    pin_zero = _pin_zero(g)
+    cap_a, cap_b = n // 2, n - n // 2
+
+    def completion_bound(t, amask, bmask, slots_b):
+        total_b = 0
+        diffs = []
+        for v in range(t, n):
+            a = (adj[v] & amask).bit_count()
+            b = (adj[v] & bmask).bit_count()
+            total_b += b
+            diffs.append(a - b)
+        if slots_b:
+            diffs.sort()
+            total_b += sum(diffs[:slots_b])
+        return total_b
+
+    def dfs(t, amask, bmask, ca, cb, cur):
+        nonlocal limit, best
+        if cur + completion_bound(t, amask, bmask, cap_b - cb) >= limit:
+            return
+        if t == n:
+            limit = cur
+            best = (cur, amask)
+            return
+        branches = []
+        if ca < cap_a:
+            branches.append(((adj[t] & bmask).bit_count(), 0))
+        if cb < cap_b and not (t == 0 and pin_zero):
+            branches.append(((adj[t] & amask).bit_count(), 1))
+        for cost, side in sorted(branches):
+            if side == 0:
+                dfs(t + 1, amask | (1 << t), bmask, ca + 1, cb, cur + cost)
+            else:
+                dfs(t + 1, amask, bmask | (1 << t), ca, cb + 1, cur + cost)
+
+    dfs(0, 0, 0, 0, 0, 0)
+
+    if best is None:
+        raise InvalidInputError(
+            "initial_upper_bound is below the true optimum; no equicut found within it"
+        )
+    return (*best, upper, True)

@@ -1,0 +1,150 @@
+"""The branch-and-bound completion bound: its suffix edge-connectivity term,
+its admissibility, and the search results it must leave unchanged."""
+
+import random
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from equicut import (
+    GraphFamilySpec,
+    SolverConfig,
+    edge_connectivity,
+    graph_from_edges,
+    known_rna,
+    make_complete,
+    make_cycle_power,
+    rna_exhaustive,
+    solver,
+)
+from equicut.graphs import is_rotation_symmetric
+from equicut.verify import random_connected_graph
+
+from oracles import branch_and_bound_greedy
+
+
+def assert_same_search(g, upper_bounds, exact_value=None):
+    """solver._branch_and_bound equals the greedy-bound oracle for each
+    initial_upper_bound (None: local-search incumbent), and every value is
+    exact_value when one is given."""
+    lam = edge_connectivity(g)
+    for upper in upper_bounds:
+        cfg = SolverConfig(initial_upper_bound=upper)
+        got = solver._branch_and_bound(g, cfg, lam)
+        assert got == branch_and_bound_greedy(g, cfg, lam), (g, upper)
+        assert exact_value is None or got[0] == exact_value, (g, upper)
+
+
+class TestSameResultsAsGreedyBound:
+    def test_cycle_powers(self):
+        # Every C_n^d with n <= 30: all d up to the complete collapse for
+        # n <= 18, and d <= 5 (the sweep's range) above that, where the
+        # greedy-only search gets slow on near-complete graphs. Values are
+        # checked against exhaustive enumeration for n <= 20.
+        for n in range(3, 31):
+            for d in range(1, n // 2 + 1 if n <= 18 else 6):
+                g = make_cycle_power(n, d)
+                trusted = known_rna(GraphFamilySpec("cycle_power", n, d=d)) or d * (d + 1)
+                exact = rna_exhaustive(g).value if n <= 20 else None
+                assert_same_search(g, (None, trusted), exact)
+
+    @pytest.mark.parametrize("p", [0.1, 0.25, 0.5])
+    def test_random_graphs(self, p):
+        rng = random.Random(int(p * 100))
+        unpinned = 0
+        for n in range(2, 23):
+            g = random_connected_graph(rng, n, p)
+            exact = rna_exhaustive(g).value
+            assert_same_search(g, (None, exact, exact + 2), exact)
+            unpinned += not solver._pin_zero(g)
+        assert unpinned >= 5
+
+    def test_odd_graphs_without_rotation_symmetry(self):
+        rng = random.Random(17)
+        graphs = [graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])]
+        while len(graphs) < 12:
+            g = random_connected_graph(rng, rng.randrange(5, 20, 2), rng.choice((0.1, 0.25, 0.5)))
+            if not is_rotation_symmetric(g):
+                graphs.append(g)
+        for g in graphs:
+            assert not solver._pin_zero(g)
+            exact = rna_exhaustive(g).value
+            assert_same_search(g, (None, exact), exact)
+
+    def test_complete_graphs(self):
+        for n in range(1, 13):
+            value = (n // 2) * ((n + 1) // 2)
+            assert_same_search(make_complete(n), (None, value), value)
+
+
+def induced_suffix_connectivity_nx(nx, g, t):
+    h = nx.Graph()
+    h.add_nodes_from(range(t, g.n))
+    h.add_edges_from((u, v) for u, v in g.edges() if u >= t)
+    return nx.edge_connectivity(h)
+
+
+class TestSuffixConnectivity:
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1701)
+        graphs = [
+            random_connected_graph(rng, n, rng.choice((0.1, 0.25, 0.5)))
+            for n in range(6, 21)
+            for _ in range(2)
+        ]
+        graphs += [random_connected_graph(rng, rng.randint(6, 20), 0.0) for _ in range(6)]
+        for n in (8, 13, 20):
+            # Two dense halves joined by one edge, as the halves come and
+            # with the vertices shuffled.
+            a = random_connected_graph(rng, n // 2, 0.7)
+            b = random_connected_graph(rng, n - n // 2, 0.7)
+            edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+            edges.append((rng.randrange(a.n), a.n + rng.randrange(b.n)))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            for order in (list(range(n)), perm):
+                graphs.append(graph_from_edges(n, sorted(tuple(sorted((order[u], order[v]))) for u, v in edges)))
+        graphs += [make_cycle_power(n, d) for n, d in ((12, 2), (17, 3), (20, 4))]
+        for g in graphs:
+            inner = solver._suffix_connectivity(g.adj)
+            assert len(inner) == g.n + 1 and inner[g.n] == 0
+            want = [induced_suffix_connectivity_nx(nx, g, t) for t in range(g.n)]
+            assert inner[:-1] == want, g
+            assert inner[0] == edge_connectivity(g)
+
+
+@st.composite
+def partial_assignments(draw):
+    """(n, edges, sides of vertices 0..t-1) with capacities floor(n/2) for
+    side A (0) and ceil(n/2) for side B (1) respected. The graph need not be
+    connected."""
+    n = draw(st.integers(1, 12))
+    edges = [(u, v) for u, v in combinations(range(n), 2) if draw(st.booleans())]
+    t = draw(st.integers(0, n))
+    cap_a = n // 2
+    in_a = draw(st.integers(max(0, t - (n - cap_a)), min(t, cap_a)))
+    sides = draw(st.permutations([0] * in_a + [1] * (t - in_a)))
+    return n, edges, sides
+
+
+@settings(max_examples=300, deadline=None)
+@given(partial_assignments())
+def test_completion_bound_is_admissible(case):
+    n, edges, sides = case
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    t = len(sides)
+    amask = sum(1 << v for v in range(t) if sides[v] == 0)
+    bmask = sum(1 << v for v in range(t) if sides[v] == 1)
+    slots_a = n // 2 - amask.bit_count()
+    bound = solver._completion_bound(adj, solver._suffix_connectivity(adj), t, amask, bmask, n - t - slots_a)
+    # The completion cost counts every cut edge with an unassigned end.
+    best = min(
+        sum(1 for u, v in edges if v >= t and ((amask | rest) >> u & 1) != ((amask | rest) >> v & 1))
+        for rest in (sum(1 << v for v in chosen) for chosen in combinations(range(t, n), slots_a))
+    )
+    assert bound <= best

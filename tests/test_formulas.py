@@ -38,6 +38,21 @@ class TestKnownValues:
         assert known_rna(GraphFamilySpec("cycle_power", 12, d=5)) is None
         assert known_rna(GraphFamilySpec("cycle_power", 11, d=4)) is None
 
+    def test_complete_outside_builder_range(self):
+        assert known_rna(GraphFamilySpec("complete", 1)) == 0
+        assert known_rna(GraphFamilySpec("complete", 0)) is None
+
+    def test_cycle_outside_builder_range(self):
+        for n in (-1, 0, 1, 2):
+            assert known_rna(GraphFamilySpec("cycle", n)) is None
+
+    def test_cycle_power_outside_builder_range(self):
+        assert known_rna(GraphFamilySpec("cycle_power", 2, d=1)) is None
+        assert known_rna(GraphFamilySpec("cycle_power", 1, d=3)) is None
+        assert known_rna(GraphFamilySpec("cycle_power", 10, d=0)) is None
+        assert known_rna(GraphFamilySpec("cycle_power", 10, d=-2)) is None
+        assert known_rna(GraphFamilySpec("cycle_power", 3, d=1)) == 2
+
     def test_circulants_not_covered(self):
         assert known_rna(GraphFamilySpec("circulant", 9, jumps=(1, 2))) is None
 

@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -245,6 +246,25 @@ class TestEdgeConnectivity:
             assert edge_connectivity(g) == nx.edge_connectivity(h)
         assert [edge_connectivity(g) for g in trees] == [1] * 5
 
+    def test_every_graph_on_up_to_six_vertices(self):
+        # Connected or not, against the least boundary of a vertex set holding
+        # vertex 0, counted over the edges as bits of the graph's index.
+        for n in range(1, 7):
+            pairs = list(combinations(range(n), 2))
+            full = (1 << n) - 1
+            separated = [
+                sum(1 << i for i, (u, v) in enumerate(pairs) if (side >> u & 1) != (side >> v & 1))
+                for side in range(1, full, 2)
+            ]
+            for edge_bits in range(1 << len(pairs)):
+                adj = [0] * n
+                for i, (u, v) in enumerate(pairs):
+                    if edge_bits >> i & 1:
+                        adj[u] |= 1 << v
+                        adj[v] |= 1 << u
+                want = min(((edge_bits & sep).bit_count() for sep in separated), default=0)
+                assert solver._rows_connectivity(adj) == want, (n, edge_bits)
+
     def test_max_flow_is_capped_at_stop_at(self):
         # Two K_5 joined by two edges: a flow across them is 2, one inside a K_5 4 or 5.
         bridged = graph_from_edges(
@@ -257,7 +277,7 @@ class TestEdgeConnectivity:
                 for t in range(s + 1, g.n):
                     true = min_st_cut_naive(g.n, g.edges(), s, t)
                     for stop in range(true + 2):
-                        assert solver._max_flow_unit(g, s, t, stop) == min(true, stop)
+                        assert solver._max_flow_unit(g.adj, s, t, stop) == min(true, stop)
 
     def test_vertex_transitive_equals_min_degree(self):
         rng = random.Random(405)

@@ -26,7 +26,7 @@ from .parity import (
 )
 from .solver import METHODS, SolverConfig
 from .sweep import SWEEP_METHODS, run_sweep, write_sweep_outputs
-from .verify import run_formulas_suite, run_paper_suite, run_solvers_suite
+from .verify import DEFAULT_SEED, run_formulas_suite, run_paper_suite, run_solvers_suite
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -148,15 +148,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite == "paper" and args.n_max is not None:
+        raise InvalidInputError("--n-max applies to the formulas and solvers suites only")
     if args.suite == "paper" and args.out_dir is not None:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     _require_parent_dir(args.json)
+    # Without --n-max each suite keeps its own default range.
+    n_max = {} if args.n_max is None else {"n_max": args.n_max}
     if args.suite == "paper":
         results = run_paper_suite(seed=args.seed, out_dir=args.out_dir)
     elif args.suite == "formulas":
-        results = run_formulas_suite(n_max=args.n_max or 60)
+        results = run_formulas_suite(**n_max)
     else:
-        results = run_solvers_suite(seed=args.seed, n_max=args.n_max or 14)
+        results = run_solvers_suite(seed=args.seed, **n_max)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"[{status}] {res.criterion}: {res.detail} ({res.elapsed_ms:.0f} ms)")
@@ -175,13 +179,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (local search restarts)")
-    p.add_argument("--restarts", type=int, default=100, help="local-search restarts")
+    p.add_argument("--seed", type=int, default=SolverConfig.rng_seed,
+                   help="RNG seed (local search restarts)")
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts, help="local-search restarts")
     # A string default goes through the type check too, so a bad
     # EQUICUT_WORKERS is rejected (exit 2) only when --workers is not given.
     p.add_argument("--workers", type=_worker_count, default=os.environ.get("EQUICUT_WORKERS", "1"),
                    help="worker processes (default: EQUICUT_WORKERS, else 1)")
-    p.add_argument("--cap", type=int, default=30, help="exhaustive enumeration cap on n")
+    p.add_argument("--cap", type=int, default=SolverConfig.exhaustive_cap,
+                   help="exhaustive enumeration cap on n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=("paper", "formulas", "solvers"))
     p.add_argument("--n-max", type=int, default=None, dest="n_max",
                    help="range override for the formulas/solvers suites")
-    p.add_argument("--seed", type=int, default=20260801)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--json", default=None, help="also write a JSON report here")
     p.add_argument("--out-dir", default=None, dest="out_dir",
                    help="directory for sweep artifacts, created if missing (paper suite)")

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .bitset import iter_bits, mask_from_vertices
 from .errors import InvalidInputError
-from .graphs import Graph, _is_json_int
+from .graphs import Graph, _is_json_int, graph_to_json_dict
 
 
 class ParityLabeling:
@@ -75,21 +75,9 @@ class SignedGraph:
         self.neg = frozenset(neg)
 
     def to_json_dict(self) -> dict:
-        from .graphs import graph_to_json_dict
-
         out = graph_to_json_dict(self.graph)
         out["neg_edges"] = [list(e) for e in sorted(self.neg)]
         return out
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SignedGraph)
-            and self.graph == other.graph
-            and self.neg == other.neg
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.graph, self.neg))
 
     def __repr__(self) -> str:
         return f"SignedGraph(n={self.graph.n}, negative={len(self.neg)})"

@@ -12,7 +12,8 @@ for both views. Three methods are provided:
   an admissible completion bound: a greedy split for the edges into the
   assigned vertices, plus the edge connectivity of the subgraph induced on
   the unassigned suffix when both sides still take one of its vertices
-  (computed once per solve for every suffix);
+  (computed once per solve for every suffix; the whole graph's value is
+  the lower bound, already computed);
 * local_search - seeded multi-restart best-improvement pair swaps; each
   move groups the outside vertices into gain-level masks, so picking the
   best swap costs O(n) popcounts; returns an upper bound, never below the
@@ -22,8 +23,10 @@ Every solver reports the edge connectivity as its lower bound, computed by
 unit-capacity max-flow over bitmask residual rows from one vertex to the
 rest of a dominating set.
 
-Worker processes go through _parallel_map, which never starts more
-processes than there are tasks or CPUs.
+Exhaustive search and local search each build one fixed task list (walk
+blocks, restarts) whatever the worker count, and hand it to _parallel_map;
+the count only decides whether the tasks run in this process or in a pool,
+which never has more processes than there are tasks or CPUs.
 """
 
 from __future__ import annotations
@@ -167,8 +170,9 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     lexicographically smallest minimizer (sorted-vertex-tuple order).
 
     Vertex 0 is pinned inside X when _pin_zero allows it. The walk is split
-    into one block per smallest non-pinned member when workers are asked
-    for; results are identical for any worker count.
+    into one block per smallest non-pinned member, or is a single block when
+    the pinned vertices already fill X (n = 1, or n = 2 or 3 with vertex 0
+    pinned). The blocks are the same for any worker count.
     """
     cfg = cfg or SolverConfig()
     if g.n > cfg.exhaustive_cap:
@@ -181,13 +185,13 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
 
     def search(lower: int) -> tuple[int, int, int, bool]:
         k = g.n // 2
-        pin_zero = _pin_zero(g)
-        if cfg.parallelism == 1 or k < 2:
-            tasks = [(g, 1, 1, k)] if pin_zero else [(g, 0, 0, k)]
-        elif pin_zero:
-            tasks = [(g, 1 | (1 << s), s + 1, k) for s in range(1, g.n - k + 2)]
+        # 1 when vertex 0 is pinned: then the pinned mask, the number of
+        # pinned vertices and the lowest free vertex are all 1.
+        fixed = int(_pin_zero(g))
+        if k == fixed:
+            tasks = [(g, fixed, fixed, k)]
         else:
-            tasks = [(g, 1 << s, s + 1, k) for s in range(0, g.n - k + 1)]
+            tasks = [(g, fixed | (1 << s), s + 1, k) for s in range(fixed, g.n - k + 1 + fixed)]
         value, mask = reduce(_merge, _parallel_map(_min_equicut_block, tasks, cfg.parallelism))
         return value, mask, value, True
 
@@ -248,25 +252,13 @@ def _restart_seed(base: int, index: int) -> int:
     return base * _SEED_STRIDE + index
 
 
-def _local_search_chunk(g: Graph, k: int, seed_base: int, first: int, count: int) -> tuple[int, int]:
-    return reduce(
-        _merge,
-        (_local_search_run(g, k, random.Random(_restart_seed(seed_base, r)))
-         for r in range(first, first + count)),
-    )
-
-
 def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
-    """Best of cfg.restarts seeded runs, split into one chunk per worker."""
+    """Best of cfg.restarts seeded runs, one task per restart: restart r
+    always starts from random.Random(_restart_seed(cfg.rng_seed, r)), so the
+    worker count only decides where the runs execute."""
     k = g.n // 2
-    restarts = cfg.restarts
-    workers = min(cfg.parallelism, restarts)
-    chunk = (restarts + workers - 1) // workers
-    tasks = [
-        (g, k, cfg.rng_seed, first, min(chunk, restarts - first))
-        for first in range(0, restarts, chunk)
-    ]
-    return reduce(_merge, _parallel_map(_local_search_chunk, tasks, workers))
+    tasks = [(g, k, random.Random(_restart_seed(cfg.rng_seed, r))) for r in range(cfg.restarts)]
+    return reduce(_merge, _parallel_map(_local_search_run, tasks, cfg.parallelism))
 
 
 def rna_local_search(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
@@ -311,8 +303,8 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     The incumbent comes from cfg.initial_upper_bound when given (the caller
     promises it is a true upper bound, e.g. a known construction value),
     otherwise from a short local search, which is returned at once when it
-    meets the lower bound lam. Search runs single-threaded so results do not
-    depend on cfg.parallelism.
+    meets the lower bound lam, the edge connectivity of g. Search runs
+    single-threaded so results do not depend on cfg.parallelism.
     """
     n = g.n
     if cfg.initial_upper_bound is not None:
@@ -328,7 +320,7 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     adj = g.adj
     pin_zero = _pin_zero(g)
     cap_a, cap_b = n // 2, n - n // 2
-    inner = _suffix_connectivity(adj)
+    inner = _suffix_connectivity(adj, lam)
 
     def dfs(t: int, amask: int, bmask: int, ca: int, cb: int, cur: int) -> None:
         nonlocal limit, best
@@ -364,7 +356,7 @@ def _completion_bound(
 ) -> int:
     """Lower bound on the edges still to be cut once vertices 0..t-1 sit on
     sides amask and bmask and slots_b of the vertices t..n-1 must join side
-    B; inner is _suffix_connectivity(adj). See _branch_and_bound.
+    B; inner is _suffix_connectivity(adj, λ). See _branch_and_bound.
     """
     n = len(adj)
     total_b = 0
@@ -423,10 +415,11 @@ def _rows_connectivity(adj: Sequence[int]) -> int:
     return best
 
 
-def _suffix_connectivity(adj: Sequence[int]) -> list[int]:
+def _suffix_connectivity(adj: Sequence[int], lam: int) -> list[int]:
     """inner[t] for t = 0..n: the edge connectivity of the subgraph induced
     on vertices t..n-1, 0 when it is disconnected or has fewer than 2
-    vertices.
+    vertices. inner[0] is lam, the edge connectivity of the whole graph,
+    which the caller has computed already.
 
     Adding vertex t to S = {t+1, ..., n-1}: a cut of S + t either leaves t
     alone, at the cost of its degree, or restricts to a cut of S, so
@@ -435,8 +428,8 @@ def _suffix_connectivity(adj: Sequence[int]) -> list[int]:
     the other suffixes run max-flows.
     """
     n = len(adj)
-    inner = [0] * (n + 1)
-    for t in range(n - 2, -1, -1):
+    inner = [lam] + [0] * n
+    for t in range(n - 2, 0, -1):
         rows = [row >> t for row in adj[t:]]
         least = min(row.bit_count() for row in rows)
         if inner[t + 1] >= least:

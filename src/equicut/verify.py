@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import DisconnectedGraphError
+from .errors import DisconnectedGraphError, InvalidInputError
 from .formulas import (
     block_cut_sum_identity,
     block_cut_value,
@@ -352,8 +352,14 @@ def run_paper_suite(seed: int = DEFAULT_SEED, out_dir: str | Path | None = None)
 
 
 def run_formulas_suite(n_max: int = 60) -> list[CheckResult]:
+    # C_6^2 is the first instance; a smaller range would pass on none.
+    if n_max < 6:
+        raise InvalidInputError(f"the formulas suite needs n_max >= 6, got {n_max}")
     return [check_formula_identities(n_max)]
 
 
 def run_solvers_suite(seed: int = DEFAULT_SEED, n_max: int = 14) -> list[CheckResult]:
+    # The random circulants take n from 5..n_max.
+    if n_max < 5:
+        raise InvalidInputError(f"the solvers suite needs n_max >= 5, got {n_max}")
     return [check_solver_agreement(seed, n_max)]

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from equicut.cli import main
-from equicut.solver import METHODS
+from equicut.solver import METHODS, SolverConfig
 
 
 def run_cli(capsys, *argv):
@@ -328,11 +328,48 @@ class TestVerify:
         monkeypatch.setattr(
             cli,
             "run_formulas_suite",
-            lambda n_max: [CheckResult("5-formula-identities", False, "forced", 1.0, ["boom"])],
+            lambda: [CheckResult("5-formula-identities", False, "forced", 1.0, ["boom"])],
         )
         code, out, _ = run_cli(capsys, "verify", "--suite", "formulas")
         assert code == 4
         assert "[FAIL]" in out
+
+    @pytest.mark.parametrize(
+        "suite,n_max",
+        [
+            ("solvers", "4"),  # no n for the random circulants
+            ("solvers", "0"),
+            ("formulas", "0"),
+            ("formulas", "4"),  # no instance in range
+            ("formulas", "-3"),
+            ("paper", "20"),  # the paper suite has a fixed range
+        ],
+    )
+    def test_bad_n_max_exits_2_before_any_check(self, capsys, tmp_path, monkeypatch, suite, n_max):
+        from equicut import cli, verify
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(verify, "check_formula_identities", no_check)
+        monkeypatch.setattr(verify, "check_solver_agreement", no_check)
+        monkeypatch.setattr(cli, "run_paper_suite", no_check)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", suite, "--n-max", n_max, "--out-dir", str(out_dir)
+        )
+        assert code == 2
+        assert out == ""
+        assert "error" in err and "n-max" in err.replace("_", "-")
+        assert not out_dir.exists()
+
+    def test_seed_and_out_dir_accepted_by_formulas_suite(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "formulas", "--n-max", "6",
+            "--seed", "1", "--out-dir", str(tmp_path / "out"),
+        )
+        assert code == 0
+        assert "on 1 (n, d) pairs" in out
 
     def test_paper_out_dir_created_before_first_check(self, capsys, tmp_path, monkeypatch):
         from equicut import cli
@@ -406,3 +443,25 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads((out_dir / "r.json").read_text())["passed"] is True
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--graph", "g.json"],
+            ["sweep", "--n-min", "9", "--n-max", "9", "--d-min", "2", "--d-max", "2", "--out", "s.csv"],
+        ],
+    )
+    def test_solver_flags_default_to_solver_config(self, monkeypatch, argv):
+        from equicut.cli import _solver_config, build_parser
+
+        monkeypatch.delenv("EQUICUT_WORKERS", raising=False)
+        assert _solver_config(build_parser().parse_args(argv)) == SolverConfig()
+
+    def test_verify_defaults(self):
+        from equicut.cli import build_parser
+        from equicut.verify import DEFAULT_SEED
+
+        args = build_parser().parse_args(["verify", "--suite", "solvers"])
+        assert (args.seed, args.n_max) == (DEFAULT_SEED, None)

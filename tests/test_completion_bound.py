@@ -15,6 +15,7 @@ from equicut import (
     known_rna,
     make_complete,
     make_cycle_power,
+    rna_branch_and_bound,
     rna_exhaustive,
     solver,
 )
@@ -108,11 +109,26 @@ class TestSuffixConnectivity:
                 graphs.append(graph_from_edges(n, sorted(tuple(sorted((order[u], order[v]))) for u, v in edges)))
         graphs += [make_cycle_power(n, d) for n, d in ((12, 2), (17, 3), (20, 4))]
         for g in graphs:
-            inner = solver._suffix_connectivity(g.adj)
-            assert len(inner) == g.n + 1 and inner[g.n] == 0
-            want = [induced_suffix_connectivity_nx(nx, g, t) for t in range(g.n)]
-            assert inner[:-1] == want, g
-            assert inner[0] == edge_connectivity(g)
+            # inner[0] is the whole graph's value, passed in by the caller.
+            inner = solver._suffix_connectivity(g.adj, -1)
+            assert len(inner) == g.n + 1 and inner[0] == -1 and inner[g.n] == 0
+            want = [induced_suffix_connectivity_nx(nx, g, t) for t in range(1, g.n)]
+            assert inner[1:-1] == want, g
+
+    def test_whole_graph_connectivity_runs_once_per_solve(self, monkeypatch):
+        # Suffix 1 of a cycle power has λ = 2d - 1 below the minimum degree
+        # 2d, so inner[0] would need a max-flow of its own.
+        g = make_cycle_power(40, 4)
+        rows_connectivity = solver._rows_connectivity
+        whole = []
+
+        def counting(adj):
+            whole.append(tuple(adj) == g.adj)
+            return rows_connectivity(adj)
+
+        monkeypatch.setattr(solver, "_rows_connectivity", counting)
+        assert rna_branch_and_bound(g).value == 20
+        assert sum(whole) == 1
 
 
 @st.composite
@@ -141,7 +157,8 @@ def test_completion_bound_is_admissible(case):
     amask = sum(1 << v for v in range(t) if sides[v] == 0)
     bmask = sum(1 << v for v in range(t) if sides[v] == 1)
     slots_a = n // 2 - amask.bit_count()
-    bound = solver._completion_bound(adj, solver._suffix_connectivity(adj), t, amask, bmask, n - t - slots_a)
+    inner = solver._suffix_connectivity(adj, solver._rows_connectivity(adj))
+    bound = solver._completion_bound(adj, inner, t, amask, bmask, n - t - slots_a)
     # The completion cost counts every cut edge with an unassigned end.
     best = min(
         sum(1 for u, v in edges if v >= t and ((amask | rest) >> u & 1) != ((amask | rest) >> v & 1))

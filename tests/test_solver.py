@@ -104,14 +104,22 @@ class TestExhaustive:
                 assert (other.value, other.certificate) == (base.value, base.certificate)
 
     def test_worker_count_invisible_across_walk_chunks(self):
-        # Odd and not rotation-symmetric, so nothing is pinned: the single
-        # walk and the first two block walks each span several cached chunks.
+        # Odd and not rotation-symmetric, so nothing is pinned: the blocks
+        # with smallest member 0 and 1 each walk several cached chunks, and
+        # with two workers they run in a pool.
         g = random_connected_graph(random.Random(2121), 21)
         assert not is_rotation_symmetric(g)
         base = rna_exhaustive(g, SolverConfig(parallelism=1))
         split = rna_exhaustive(g, SolverConfig(parallelism=2))
         assert (split.value, split.certificate) == (base.value, base.certificate)
         assert equicut_size(g, base.certificate) == base.value
+
+    def test_three_vertex_path(self):
+        # Odd, not rotation-symmetric and k = 1: three one-subset blocks.
+        g = graph_from_edges(3, [(0, 1), (1, 2)])
+        assert not solver._pin_zero(g)
+        ex = rna_exhaustive(g)
+        assert (ex.value, ex.certificate.vertices) == min_equicut_naive(g.n, g.edges())
 
     def test_odd_asymmetric_graph_keeps_vertex_zero_free(self):
         # Odd n, no rotation symmetry: with vertex 0 pinned to the floor(n/2)
@@ -327,6 +335,43 @@ class TestConfig:
         assert d["value"] == 2
         assert d["method"] == "exhaustive"
         assert d["exact"] is True
+
+
+class TestTaskList:
+    """Every worker count hands _parallel_map the same tasks."""
+
+    @staticmethod
+    def record_tasks(monkeypatch):
+        calls = []
+        parallel_map = solver._parallel_map
+
+        def recording(fn, tasks, workers):
+            # A Random is compared by its state: two copies are never equal.
+            calls.append([
+                (fn,) + tuple(x.getstate() if isinstance(x, random.Random) else x for x in task)
+                for task in tasks
+            ])
+            return parallel_map(fn, tasks, 1)
+
+        monkeypatch.setattr(solver, "_parallel_map", recording)
+        return calls
+
+    def test_exhaustive_blocks(self, monkeypatch):
+        g = random_connected_graph(random.Random(1818), 13)
+        assert not solver._pin_zero(g)
+        calls = self.record_tasks(monkeypatch)
+        results = [rna_exhaustive(g, SolverConfig(parallelism=w)) for w in (1, 4)]
+        assert calls[0] == calls[1]
+        assert len(calls[0]) == g.n - g.n // 2 + 1
+        assert results[0].certificate == results[1].certificate
+
+    def test_local_search_restarts(self, monkeypatch):
+        g = make_cycle_power(15, 3)
+        calls = self.record_tasks(monkeypatch)
+        results = [rna_local_search(g, SolverConfig(restarts=7, rng_seed=3, parallelism=w)) for w in (1, 4)]
+        assert calls[0] == calls[1]
+        assert len(calls[0]) == 7
+        assert results[0].certificate == results[1].certificate
 
 
 class TestParallelMap:

@@ -28,15 +28,6 @@ def mask_from_vertices(vertices: Iterable[int]) -> int:
     return mask
 
 
-def vertices_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def iter_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask

@@ -233,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", required=True, choices=("paper", "formulas", "solvers"))
     p.add_argument("--n-max", type=int, default=None, dest="n_max",
                    help="range override for the formulas/solvers suites")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed of the random corpora; the paper and solvers suites read it, "
+                        "the formulas suite ignores it")
     p.add_argument("--json", default=None, help="also write a JSON report here")
     p.add_argument("--out-dir", default=None, dest="out_dir",
                    help="directory for sweep artifacts, created if missing (paper suite)")

@@ -19,14 +19,19 @@ MAX_VERTICES = 512
 FAMILIES = ("cycle", "cycle_power", "circulant", "complete")
 
 
+def check_vertex_count(n: int) -> None:
+    """Reject n outside 1..MAX_VERTICES; builders call it before any row exists."""
+    if not 1 <= n <= MAX_VERTICES:
+        raise InvalidInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+
+
 class Graph:
     """Undirected, simple, connected graph. Immutable after construction."""
 
     __slots__ = ("n", "adj", "m", "full_mask")
 
     def __init__(self, n: int, adj: Sequence[int]):
-        if not 1 <= n <= MAX_VERTICES:
-            raise InvalidInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+        check_vertex_count(n)
         if len(adj) != n:
             raise InvalidInputError("adjacency must have one row per vertex")
         full = (1 << n) - 1
@@ -61,9 +66,6 @@ class Graph:
             reached |= frontier
         return reached
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool((self.adj[u] >> v) & 1)
 
@@ -93,8 +95,7 @@ class Graph:
 
 def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a graph from an edge list, rejecting loops, duplicates and disconnection."""
-    if not 1 <= n <= MAX_VERTICES:
-        raise InvalidInputError(f"vertex count {n} outside 1..{MAX_VERTICES}")
+    check_vertex_count(n)
     rows = [0] * n
     for e in edges:
         try:
@@ -120,8 +121,7 @@ def make_cycle(n: int) -> Graph:
 
 
 def make_complete(n: int) -> Graph:
-    if n < 1:
-        raise InvalidInputError(f"complete graph needs n >= 1, got {n}")
+    check_vertex_count(n)
     full = (1 << n) - 1
     return Graph(n, [full ^ (1 << i) for i in range(n)])
 
@@ -149,6 +149,7 @@ def make_circulant(n: int, jumps: Iterable[int]) -> Graph:
     """
     if n < 3:
         raise InvalidInputError(f"circulant needs n >= 3, got {n}")
+    check_vertex_count(n)
     js = tuple(jumps)
     if not js:
         raise InvalidInputError("circulant needs a nonempty jump set")

@@ -38,9 +38,6 @@ class ParityLabeling:
         """Vertices with even labels; there are floor(n/2) of them."""
         return tuple(v for v in range(self.n) if self.f[v] % 2 == 0)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "f": list(self.f)}
-
     @classmethod
     def from_json_dict(cls, data: object) -> "ParityLabeling":
         if not isinstance(data, dict) or "f" not in data:

@@ -39,7 +39,7 @@ from functools import reduce
 from multiprocessing import Pool
 from typing import Sequence
 
-from .bitset import MAX_WALK_N, iter_bits, subset_precedes, swap_chunks, vertices_from_mask
+from .bitset import MAX_WALK_N, iter_bits, subset_precedes, swap_chunks
 from .errors import EnumerationCapError, InvalidInputError
 from .graphs import Graph, is_rotation_symmetric
 from .parity import Equicut
@@ -116,7 +116,7 @@ def _solve(g: Graph, method: str, search) -> SolveResult:
     elapsed = time.perf_counter() - start
     return SolveResult(
         value=value,
-        certificate=Equicut(g.n, vertices_from_mask(mask)),
+        certificate=Equicut(g.n, tuple(iter_bits(mask))),
         method=method,
         lower_bound_used=lower,
         upper_bound_used=upper,

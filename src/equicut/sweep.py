@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import InvalidInputError
 from .formulas import block_cut_value, known_rna
-from .graphs import GraphFamilySpec, make_cycle_power
+from .graphs import GraphFamilySpec, check_vertex_count, make_cycle_power
 from .solver import METHODS, SolveResult, SolverConfig, _parallel_map
 
 CSV_COLUMNS = [
@@ -49,19 +49,6 @@ class SweepRow:
     certificate: tuple[int, ...] = ()
     result: SolveResult | None = None
 
-    def csv_record(self) -> dict:
-        return {
-            "family": self.family,
-            "n": self.n,
-            "d": self.d,
-            "lower_bound": self.lower_bound,
-            "construction": self.construction,
-            "exact": "" if self.exact is None else self.exact,
-            "method": self.method,
-            "conjecture_match": self.conjecture_match,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
 
 def _spanning_known_bound(n: int, d: int) -> int:
     """Best proven value among the lower powers, which are spanning subgraphs
@@ -70,10 +57,8 @@ def _spanning_known_bound(n: int, d: int) -> int:
 
 
 def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRow:
-    if not 2 <= d < n // 2:
-        raise InvalidInputError(f"sweep rows need 2 <= d < floor(n/2); got n={n}, d={d}")
+    construction = block_cut_value(n, d)  # rejects d outside 2 <= d < floor(n/2)
     g = make_cycle_power(n, d)
-    construction = block_cut_value(n, d)
 
     if method == "auto":
         method = "exhaustive" if n <= cfg.exhaustive_cap else "branch_and_bound"
@@ -128,6 +113,8 @@ def run_sweep(
         for d in range(d_range[0], d_range[1] + 1)
         if 2 <= d < n // 2
     ]
+    if grid:
+        check_vertex_count(grid[-1][0])  # the largest n: reject the grid before any row runs
     return _parallel_map(compute_sweep_row, grid, workers)
 
 
@@ -141,7 +128,7 @@ def write_sweep_outputs(rows: list[SweepRow], out_path: str | Path) -> list[Path
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in sorted(rows, key=lambda r: (r.n, r.d)):
-            writer.writerow(row.csv_record())
+            writer.writerow({c: getattr(row, c) for c in CSV_COLUMNS})
     sidecars = []
     for row in rows:
         if row.conjecture_match != "fails":

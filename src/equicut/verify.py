@@ -3,8 +3,10 @@ by independent computation.
 
 The `paper` suite is the full gate (nine checks); `formulas` covers the
 closed-form boundary counts alone and `solvers` the exhaustive/branch-and-
-bound agreement corpus. Each check returns a CheckResult so the CLI and the
-test suite share one implementation.
+bound agreement corpus. Each check is a body that returns (failures,
+detail); the `_check` decorator times it and turns it into a CheckResult,
+which passes when there are no failures, counts them in the detail and keeps
+the first 20. The CLI and the test suite share these checks.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import random
 import tempfile
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
+from functools import wraps
 from pathlib import Path
 
 from .errors import DisconnectedGraphError, InvalidInputError
@@ -48,24 +51,29 @@ class CheckResult:
     criterion: str
     passed: bool
     detail: str
-    elapsed_ms: float = 0.0
-    failures: list[str] = field(default_factory=list)
+    elapsed_ms: float
+    failures: list[str]
 
     def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "passed": self.passed,
-            "detail": self.detail,
-            "elapsed_ms": round(self.elapsed_ms, 1),
-            "failures": self.failures,
-        }
+        return {**asdict(self), "elapsed_ms": round(self.elapsed_ms, 1)}
 
 
-def _finish(criterion: str, failures: list[str], detail: str, start: float) -> CheckResult:
-    elapsed = (time.perf_counter() - start) * 1000.0
-    if failures:
-        detail = f"{detail}; {len(failures)} failure(s)"
-    return CheckResult(criterion, not failures, detail, elapsed, failures[:20])
+def _check(criterion: str):
+    """Decorator: time a check body returning (failures, detail) and build its CheckResult."""
+
+    def decorate(body):
+        @wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            failures, detail = body(*args, **kwargs)
+            elapsed = (time.perf_counter() - start) * 1000.0
+            if failures:
+                detail = f"{detail}; {len(failures)} failure(s)"
+            return CheckResult(criterion, not failures, detail, elapsed, failures[:20])
+
+        return check
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -100,24 +108,24 @@ def random_circulant(rng: random.Random, n: int) -> Graph:
             continue
 
 
-def solver_corpus(
-    rng: random.Random,
-    n_max: int = 14,
-    circulants: int = 50,
-    random_graphs: int = 110,
-    random_n_max: int = 12,
-) -> list[tuple[str, Graph]]:
+# Size of the seeded part of the agreement corpus.
+_CIRCULANTS = 50
+_RANDOM_GRAPHS = 110
+_RANDOM_N_MAX = 12
+
+
+def solver_corpus(rng: random.Random, n_max: int = 14) -> list[tuple[str, Graph]]:
     """The agreement corpus: all cycle powers up to n_max, then seeded randoms."""
     corpus: list[tuple[str, Graph]] = []
     for n in range(3, n_max + 1):
         for d in range(1, n // 2 + 1):
             corpus.append((f"cycle_power n={n} d={d}", make_cycle_power(n, d)))
-    for i in range(circulants):
+    for i in range(_CIRCULANTS):
         n = rng.randint(5, n_max)
         g = random_circulant(rng, n)
         corpus.append((f"circulant #{i} n={n}", g))
-    for i in range(random_graphs):
-        n = rng.randint(4, random_n_max)
+    for i in range(_RANDOM_GRAPHS):
+        n = rng.randint(4, _RANDOM_N_MAX)
         g = random_connected_graph(rng, n)
         corpus.append((f"random #{i} n={n} m={g.m}", g))
     return corpus
@@ -140,8 +148,8 @@ def solve_cycle_power_table(n_max: int = 22) -> dict[tuple[int, int], SolveResul
 # the nine checks
 
 
-def check_known_values() -> CheckResult:
-    start = time.perf_counter()
+@_check("1-known-values")
+def check_known_values():
     failures = []
     for n in range(4, 21):
         got = rna_exhaustive(make_cycle(n)).value
@@ -152,48 +160,43 @@ def check_known_values() -> CheckResult:
         got = rna_exhaustive(make_complete(n)).value
         if got != want:
             failures.append(f"complete n={n}: got {got}, want {want}")
-    return _finish(
-        "1-known-values", failures, "cycles n=4..20 and complete graphs n=2..14", start
-    )
+    return failures, "cycles n=4..20 and complete graphs n=2..14"
 
 
-def check_square_powers(table: dict[tuple[int, int], SolveResult]) -> CheckResult:
-    start = time.perf_counter()
+def _power_values(table: dict[tuple[int, int], SolveResult], d: int, want: int, n_first: int):
+    """Every C_n^d in the table with n_first <= n <= 22 has the value `want`."""
     failures = []
-    for n in range(6, 23):
-        got = table[(n, 2)].value
-        if got != 6:
-            failures.append(f"n={n} d=2: got {got}, want 6")
-    return _finish("2-square-powers", failures, "second powers n=6..22 all equal 6", start)
+    for n in range(n_first, 23):
+        got = table[(n, d)].value
+        if got != want:
+            failures.append(f"n={n} d={d}: got {got}, want {want}")
+    ordinal = {2: "second", 3: "third"}[d]
+    return failures, f"{ordinal} powers n={n_first}..22 all equal {want}"
 
 
-def check_cube_powers(table: dict[tuple[int, int], SolveResult]) -> CheckResult:
-    start = time.perf_counter()
+@_check("2-square-powers")
+def check_square_powers(table: dict[tuple[int, int], SolveResult]):
+    return _power_values(table, 2, 6, 6)
+
+
+@_check("3-cube-powers")
+def check_cube_powers(table: dict[tuple[int, int], SolveResult]):
+    return _power_values(table, 3, 12, 8)
+
+
+@_check("4-sandwich-bounds")
+def check_sandwich(table: dict[tuple[int, int], SolveResult]):
     failures = []
-    for n in range(8, 23):
-        got = table[(n, 3)].value
-        if got != 12:
-            failures.append(f"n={n} d=3: got {got}, want 12")
-    return _finish("3-cube-powers", failures, "third powers n=8..22 all equal 12", start)
-
-
-def check_sandwich(table: dict[tuple[int, int], SolveResult]) -> CheckResult:
-    start = time.perf_counter()
-    failures = []
-    count = 0
     for (n, d), result in sorted(table.items()):
-        count += 1
         if not 2 * d <= result.value <= d * (d + 1):
             failures.append(
                 f"n={n} d={d}: value {result.value} outside [{2 * d}, {d * (d + 1)}]"
             )
-    return _finish(
-        "4-sandwich-bounds", failures, f"2d <= value <= d(d+1) on {count} instances", start
-    )
+    return failures, f"2d <= value <= d(d+1) on {len(table)} instances"
 
 
-def check_formula_identities(n_max: int = 60) -> CheckResult:
-    start = time.perf_counter()
+@_check("5-formula-identities")
+def check_formula_identities(n_max: int = 60):
     failures = []
     instances = 0
     for n in range(5, n_max + 1):
@@ -214,24 +217,13 @@ def check_formula_identities(n_max: int = 60) -> CheckResult:
                 )
             if want > kang_upper_bound(n, n * d):
                 failures.append(f"n={n} d={d}: d(d+1) above the general (2m+n)/4 bound")
-    return _finish(
-        "5-formula-identities",
-        failures,
-        f"boundary tables and block sums on {instances} (n, d) pairs, n <= {n_max}",
-        start,
-    )
+    return failures, f"boundary tables and block sums on {instances} (n, d) pairs, n <= {n_max}"
 
 
-def check_solver_agreement(
-    seed: int = DEFAULT_SEED,
-    n_max: int = 14,
-    circulants: int = 50,
-    random_graphs: int = 110,
-) -> CheckResult:
-    start = time.perf_counter()
+@_check("6-solver-agreement")
+def check_solver_agreement(seed: int = DEFAULT_SEED, n_max: int = 14):
     failures = []
-    rng = random.Random(seed)
-    corpus = solver_corpus(rng, n_max, circulants, random_graphs)
+    corpus = solver_corpus(random.Random(seed), n_max)
     for name, g in corpus:
         ex = rna_exhaustive(g)
         bb = rna_branch_and_bound(g)
@@ -239,13 +231,11 @@ def check_solver_agreement(
             failures.append(f"{name}: exhaustive {ex.value} vs branch-and-bound {bb.value}")
         if equicut_size(g, bb.certificate) != bb.value:
             failures.append(f"{name}: branch-and-bound certificate does not match its value")
-    return _finish(
-        "6-solver-agreement", failures, f"both exact methods on {len(corpus)} instances", start
-    )
+    return failures, f"both exact methods on {len(corpus)} instances"
 
 
-def check_parity_machinery(pairs: int = 1000, seed: int = DEFAULT_SEED) -> CheckResult:
-    start = time.perf_counter()
+@_check("7-parity-machinery")
+def check_parity_machinery(pairs: int = 1000, seed: int = DEFAULT_SEED):
     failures = []
     rng = random.Random(seed)
     for i in range(pairs):
@@ -265,15 +255,13 @@ def check_parity_machinery(pairs: int = 1000, seed: int = DEFAULT_SEED) -> Check
             failures.append(f"pair {i}: induced signature not recognized")
         elif switch_vertices(SignedGraph(g), witness.vertices).neg != sg.neg:
             failures.append(f"pair {i}: witness does not reproduce the negative edges")
-    return _finish(
-        "7-parity-machinery", failures, f"{pairs} random (graph, labeling) pairs", start
-    )
+    return failures, f"{pairs} random (graph, labeling) pairs"
 
 
-def check_conjecture_sweep(out_dir: str | Path | None = None, seed: int = DEFAULT_SEED) -> CheckResult:
+@_check("8-conjecture-sweep")
+def check_conjecture_sweep(out_dir: str | Path | None = None, seed: int = DEFAULT_SEED):
     """The d=4 and d=5 sweep; without out_dir its files go to a temporary
     directory that is removed when the check ends."""
-    start = time.perf_counter()
     failures = []
     cfg = SolverConfig(rng_seed=seed)
     rows = run_sweep((10, 18), (4, 4), cfg) + run_sweep((12, 18), (5, 5), cfg)
@@ -301,31 +289,22 @@ def check_conjecture_sweep(out_dir: str | Path | None = None, seed: int = DEFAUL
     # sidecar files are discarded.
     for row in fails:
         detail += f"; n={row.n} d={row.d} cut {row.exact} at {list(row.certificate)}"
-    return _finish("8-conjecture-sweep", failures, detail, start)
+    return failures, detail
 
 
-def check_worker_determinism() -> CheckResult:
-    start = time.perf_counter()
+@_check("9-worker-determinism")
+def check_worker_determinism():
     failures = []
-    single = {}
-    quad = {}
     for n in range(6, 23):
         g = make_cycle_power(n, 2)
-        single[n] = rna_exhaustive(g, SolverConfig(parallelism=1))
-        quad[n] = rna_exhaustive(g, SolverConfig(parallelism=4))
-    for n in range(6, 23):
-        a, b = single[n], quad[n]
+        a = rna_exhaustive(g, SolverConfig(parallelism=1))
+        b = rna_exhaustive(g, SolverConfig(parallelism=4))
         if a.value != b.value or a.certificate != b.certificate:
             failures.append(
                 f"n={n}: workers=1 gave ({a.value}, {a.certificate.vertices}), "
                 f"workers=4 gave ({b.value}, {b.certificate.vertices})"
             )
-    return _finish(
-        "9-worker-determinism",
-        failures,
-        "second-power runs with 1 and 4 workers give identical results",
-        start,
-    )
+    return failures, "second-power runs with 1 and 4 workers give identical results"
 
 
 # ---------------------------------------------------------------------------

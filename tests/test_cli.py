@@ -48,6 +48,15 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_oversized_graph_exits_2(self, capsys, tmp_path):
+        out = tmp_path / "x.json"
+        code, _, err = run_cli(
+            capsys, "gen", "--family", "complete", "--n", "20000", "--out", str(out)
+        )
+        assert code == 2
+        assert "vertex count 20000 outside 1..512" in err
+        assert not out.exists()
+
     def test_range_error_comes_from_the_builder_before_any_note(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "gen", "--family", "cycle-power", "--n", "2", "--d", "1",
@@ -270,6 +279,22 @@ class TestSweep:
         assert "--upper-bound" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_oversized_grid_exits_2_before_any_solve(self, capsys, tmp_path, monkeypatch):
+        from equicut import sweep
+
+        def no_row(*args, **kwargs):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(sweep, "compute_sweep_row", no_row)
+        code, out, err = run_cli(
+            capsys,
+            "sweep", "--n-min", "511", "--n-max", "513", "--d-min", "2", "--d-max", "2",
+            "--out", str(tmp_path / "s.csv"),
+        )
+        assert code == 2
+        assert "vertex count 513 outside 1..512" in err
+        assert not (tmp_path / "s.csv").exists()
+
     def test_missing_out_dir_exits_5_before_any_solve(self, capsys, tmp_path, monkeypatch):
         from equicut import cli
 
@@ -315,6 +340,16 @@ class TestVerify:
         data = json.loads(report.read_text())
         assert data["passed"] is True
         assert data["checks"][0]["criterion"].startswith("5-")
+
+    def test_json_report_check_keys(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys, "verify", "--suite", "formulas", "--n-max", "8", "--json", str(report)
+        )
+        assert code == 0
+        (check,) = json.loads(report.read_text())["checks"]
+        assert list(check) == ["criterion", "passed", "detail", "elapsed_ms", "failures"]
+        assert check["elapsed_ms"] == round(check["elapsed_ms"], 1)
 
     def test_solvers_suite_small_corpus(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "solvers", "--n-max", "8")

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ class TestCycle:
     def test_triangle(self):
         g = make_cycle(3)
         assert g.m == 3
-        assert all(g.degree(v) == 2 for v in range(3))
+        assert all(g.adj[v].bit_count() == 2 for v in range(3))
 
     def test_even_cycle_is_bipartite(self):
         g = make_cycle(6)
@@ -57,7 +58,7 @@ class TestCyclePower:
     def test_regularity(self):
         g = make_cycle_power(7, 2)
         assert g.m == 14
-        assert all(g.degree(v) == 4 for v in range(7))
+        assert all(g.adj[v].bit_count() == 4 for v in range(7))
 
     def test_equals_contiguous_circulant(self):
         assert make_cycle_power(12, 3) == make_circulant(12, (1, 2, 3))
@@ -67,7 +68,7 @@ class TestCyclePower:
             for d in range(1, n // 2):
                 g = make_cycle_power(n, d)
                 assert g.m == n * d
-                assert all(g.degree(v) == 2 * d for v in range(n))
+                assert all(g.adj[v].bit_count() == 2 * d for v in range(n))
 
     def test_power_chain_is_nested(self):
         for n in (9, 12, 15):
@@ -88,7 +89,7 @@ class TestCirculant:
     def test_half_jump_halves_degree(self):
         g = make_circulant(8, (1, 4))
         assert g.m == 12
-        assert all(g.degree(v) == 3 for v in range(8))
+        assert all(g.adj[v].bit_count() == 3 for v in range(8))
 
     def test_matches_cycle_power(self):
         assert make_circulant(9, (1, 2)) == make_cycle_power(9, 2)
@@ -187,6 +188,18 @@ class TestLoader:
     def test_rejects_oversized(self):
         with pytest.raises(InvalidInputError):
             graph_from_edges(MAX_VERTICES + 1, [])
+
+    @pytest.mark.parametrize("build", [make_cycle, make_complete])
+    def test_builders_reject_oversized_before_building_rows(self, build):
+        # n^2 bits of adjacency rows would take tens of MB before Graph saw n.
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="vertex count 20000"):
+                build(20000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_malformed_json_dict(self):
         with pytest.raises(InvalidInputError):

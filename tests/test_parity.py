@@ -41,7 +41,7 @@ class TestParityLabeling:
 
     def test_json_round_trip(self):
         lab = ParityLabeling([2, 1, 3])
-        assert ParityLabeling.from_json_dict(lab.to_json_dict()).f == lab.f
+        assert ParityLabeling.from_json_dict({"n": lab.n, "f": list(lab.f)}).f == lab.f
 
 
 class TestSignature:

@@ -1,5 +1,6 @@
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 from equicut import verify
 from equicut.sweep import SweepRow
@@ -31,3 +32,20 @@ def test_counterexample_certificate_survives_discarded_outputs(tmp_path, monkeyp
     assert result.passed
     assert "n=15 d=4 cut 18 at [0, 1, 2, 3, 5, 8, 9]" in result.detail
     assert list(tmp_path.glob("equicut-sweep-*")) == []
+
+
+def test_failed_check_counts_all_failures_and_keeps_twenty(monkeypatch):
+    monkeypatch.setattr(verify, "rna_exhaustive", lambda g, *args: SimpleNamespace(value=0))
+    result = verify.check_known_values()
+    assert result.passed is False
+    assert len(result.failures) == 20
+    assert result.detail.endswith("; 30 failure(s)")  # 17 cycles and 13 complete graphs
+    assert result.elapsed_ms > 0
+
+
+def test_power_check_names_the_wrong_value():
+    table = {(n, 3): SimpleNamespace(value=12) for n in range(8, 23)}
+    table[(9, 3)] = SimpleNamespace(value=11)
+    result = verify.check_cube_powers(table)
+    assert not result.passed
+    assert result.failures == ["n=9 d=3: got 11, want 12"]

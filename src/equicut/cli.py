@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .errors import EnumerationCapError, InvalidInputError
-from .graphs import GraphFamilySpec, load_graph, save_graph
+from .graphs import FAMILIES, GraphFamilySpec, load_graph, save_graph
 from .parity import (
     Equicut,
     ParityLabeling,
@@ -78,7 +78,7 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         restarts=args.restarts,
         rng_seed=args.seed,
         parallelism=args.workers,
-        initial_upper_bound=getattr(args, "upper_bound", None),
+        initial_upper_bound=args.upper_bound,
         exhaustive_cap=args.cap,
     )
 
@@ -125,23 +125,16 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require_parent_dir(args.out)
-    cfg = _solver_config(args)
-    method = args.method.replace("-", "_")
     rows = run_sweep(
         (args.n_min, args.n_max),
         (args.d_min, args.d_max),
-        cfg,
-        method=method,
+        args.cap,
+        method=args.method.replace("-", "_"),
         workers=args.workers,
     )
     sidecars = write_sweep_outputs(rows, args.out)
-    holds = sum(1 for r in rows if r.conjecture_match == "holds")
     fails = sum(1 for r in rows if r.conjecture_match == "fails")
-    unsolved = sum(1 for r in rows if r.conjecture_match == "unsolved")
-    print(
-        f"{len(rows)} rows -> {args.out} (holds={holds} fails={fails} unsolved={unsolved})",
-        file=sys.stderr,
-    )
+    print(f"{len(rows)} rows -> {args.out} (holds={len(rows) - fails} fails={fails})", file=sys.stderr)
     for sidecar in sidecars:
         print(f"counterexample certificate: {sidecar}", file=sys.stderr)
     return EXIT_OK
@@ -178,10 +171,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=SolverConfig.rng_seed,
-                   help="RNG seed (local search restarts)")
-    p.add_argument("--restarts", type=int, default=SolverConfig.restarts, help="local-search restarts")
+def _add_workers_and_cap(p: argparse.ArgumentParser) -> None:
     # A string default goes through the type check too, so a bad
     # EQUICUT_WORKERS is rejected (exit 2) only when --workers is not given.
     p.add_argument("--workers", type=_worker_count, default=os.environ.get("EQUICUT_WORKERS", "1"),
@@ -199,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a graph file")
     p.add_argument("--family", required=True,
-                   choices=("cycle", "cycle-power", "circulant", "complete"))
+                   choices=[_flag(f) for f in FAMILIES])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--jumps", default=None, help="comma-separated jump list, e.g. 1,4")
@@ -209,7 +199,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--method", default="exhaustive", choices=[_flag(m) for m in METHODS])
-    _add_solver_flags(p)
+    p.add_argument("--seed", type=int, default=SolverConfig.rng_seed,
+                   help="RNG seed (local search restarts)")
+    p.add_argument("--restarts", type=int, default=SolverConfig.restarts, help="local-search restarts")
+    _add_workers_and_cap(p)
     p.add_argument("--upper-bound", type=int, default=None, dest="upper_bound",
                    help="trusted initial upper bound for branch-and-bound")
     p.set_defaults(func=cmd_solve)
@@ -226,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, required=True, dest="d_max")
     p.add_argument("--method", default="auto", choices=[_flag(m) for m in SWEEP_METHODS])
     p.add_argument("--out", required=True)
-    _add_solver_flags(p)
+    _add_workers_and_cap(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a verification suite")

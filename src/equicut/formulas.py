@@ -119,8 +119,9 @@ def known_rna(spec: GraphFamilySpec) -> int | None:
 
     Covered: cycles (2), complete graphs (floor(n/2)*ceil(n/2)), cycle powers
     with d >= floor(n/2) (complete collapse), d = 1 (cycle), d = 2 (6) and
-    d = 3 (12). For 4 <= d < floor(n/2) the value d(d+1) is conjectured, not
-    proven, so nothing is returned; the sweep reports those as findings.
+    d = 3 (12). For 4 <= d < floor(n/2) nothing is returned: PROOF.md proves
+    d(d+1) only for n >= d(d+1), and below that it is conjectured; the sweep
+    reports those as findings.
     Specs no builder accepts (a cycle or cycle power with n < 3 or d < 1,
     a complete graph with n < 1) get nothing either.
     """
@@ -135,15 +136,11 @@ def known_rna(spec: GraphFamilySpec) -> int | None:
         d = spec.d
         if d < 1:
             return None
-        if d >= n // 2:
-            return (n // 2) * ((n + 1) // 2)
         if d == 1:
-            return 2
-        if d == 2:
-            return 6
-        if d == 3:
-            return 12
-        return None
+            return known_rna(GraphFamilySpec("cycle", n))
+        if d >= n // 2:
+            return known_rna(GraphFamilySpec("complete", n))
+        return d * (d + 1) if d in (2, 3) else None
     return None
 
 

@@ -2,23 +2,24 @@
 
 For 2 <= d < floor(n/2) the consecutive-block construction cuts d(d+1)
 edges; for d in {2, 3} that is proven optimal, for d >= 4 it is conjectured.
-The sweep records exact values next to the construction value and classifies
-each row as holds / fails / unsolved, never asserting the conjecture. A
-"fails" row (exact below d(d+1)) would be a genuine discovery, so its
-certificate is preserved in a sidecar JSON.
+Every sweep method is exact (local search is a `solve` method only), so each
+row records the exact value next to the construction value and is classified
+holds / fails, never asserting the conjecture. A "fails" row (exact below
+d(d+1)) would be a genuine discovery, so its certificate is preserved in a
+sidecar JSON.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import InvalidInputError
 from .formulas import block_cut_value, known_rna
 from .graphs import GraphFamilySpec, check_vertex_count, make_cycle_power
-from .solver import METHODS, SolveResult, SolverConfig, _parallel_map
+from .solver import DEFAULT_ENUMERATION_CAP, METHODS, SolveResult, SolverConfig, _parallel_map
 
 CSV_COLUMNS = [
     "family",
@@ -32,7 +33,7 @@ CSV_COLUMNS = [
     "elapsed_ms",
 ]
 
-SWEEP_METHODS = ("auto", *METHODS)
+SWEEP_METHODS = ("auto", "exhaustive", "branch_and_bound")
 
 
 @dataclass
@@ -42,7 +43,7 @@ class SweepRow:
     d: int
     lower_bound: int
     construction: int
-    exact: int | None
+    exact: int
     method: str
     conjecture_match: str
     elapsed_ms: int
@@ -56,23 +57,25 @@ def _spanning_known_bound(n: int, d: int) -> int:
     return known_rna(GraphFamilySpec("cycle_power", n, d=min(d - 1, 3)))
 
 
-def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRow:
+def _check_method(method: str) -> None:
+    if method not in SWEEP_METHODS:
+        raise InvalidInputError(f"sweep method must be one of {SWEEP_METHODS}")
+
+
+def compute_sweep_row(n: int, d: int, method: str, cap: int = DEFAULT_ENUMERATION_CAP) -> SweepRow:
+    _check_method(method)
     construction = block_cut_value(n, d)  # rejects d outside 2 <= d < floor(n/2)
     g = make_cycle_power(n, d)
 
     if method == "auto":
-        method = "exhaustive" if n <= cfg.exhaustive_cap else "branch_and_bound"
-    if method not in METHODS:
-        raise InvalidInputError(f"unknown sweep method {method!r}")
+        method = "exhaustive" if n <= cap else "branch_and_bound"
     # Only branch and bound reads the construction as its trusted bound.
-    result = METHODS[method](g, replace(cfg, initial_upper_bound=construction))
+    result = METHODS[method](g, SolverConfig(initial_upper_bound=construction, exhaustive_cap=cap))
 
     # Every equicut of g contains one of each spanning lower power.
     lower = max(result.lower_bound_used, _spanning_known_bound(n, d))
-    exact = result.value if result.exact else None
-    if exact is None:
-        match = "unsolved"
-    elif exact == construction:
+    exact = result.value
+    if exact == construction:
         match = "holds"
     elif exact < construction:
         match = "fails"
@@ -99,16 +102,17 @@ def compute_sweep_row(n: int, d: int, method: str, cfg: SolverConfig) -> SweepRo
 def run_sweep(
     n_range: tuple[int, int],
     d_range: tuple[int, int],
-    cfg: SolverConfig | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
     method: str = "auto",
     workers: int = 1,
 ) -> list[SweepRow]:
-    """Solve every (n, d) in the ranges with 2 <= d < floor(n/2), sorted by (n, d)."""
-    if method not in SWEEP_METHODS:
-        raise InvalidInputError(f"sweep method must be one of {SWEEP_METHODS}")
-    cfg = cfg or SolverConfig()
+    """Solve every (n, d) in the ranges with 2 <= d < floor(n/2), sorted by (n, d).
+
+    Each row runs one worker; `workers` spreads the rows over processes.
+    """
+    _check_method(method)
     grid = [
-        (n, d, method, replace(cfg, parallelism=1))
+        (n, d, method, cap)
         for n in range(n_range[0], n_range[1] + 1)
         for d in range(d_range[0], d_range[1] + 1)
         if 2 <= d < n // 2

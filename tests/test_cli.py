@@ -248,17 +248,25 @@ class TestSweep:
 
         assert strip(out1) == strip(out2)
 
-    def test_local_search_rows_unsolved(self, capsys, tmp_path):
-        out = tmp_path / "ls.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "sweep", "--n-min", "10", "--n-max", "11", "--d-min", "2", "--d-max", "2",
-            "--method", "local-search", "--restarts", "10", "--out", str(out),
-        )
-        assert code == 0
-        with out.open(newline="") as fh:
-            records = list(csv.DictReader(fh))
-        assert all(r["exact"] == "" and r["conjecture_match"] == "unsolved" for r in records)
+    @pytest.mark.parametrize(
+        "extra", [["--method", "local-search"], ["--seed", "3"], ["--restarts", "10"]]
+    )
+    def test_non_exact_and_seed_flags_are_rejected(self, capsys, tmp_path, monkeypatch, extra):
+        # Every sweep method is exact and none reads a seed or restarts.
+        from equicut import cli
+
+        def fake_sweep(*args, **kwargs):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--n-min", "10", "--n-max", "11", "--d-min", "2", "--d-max", "2",
+                *extra, "--out", str(tmp_path / "x.csv"),
+            ])
+        assert exc.value.code == 2
+        assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_upper_bound_flag_is_rejected(self, capsys, tmp_path, monkeypatch):
         # The sweep always hands branch and bound the block construction as
@@ -492,7 +500,12 @@ class TestDefaults:
         from equicut.cli import _solver_config, build_parser
 
         monkeypatch.delenv("EQUICUT_WORKERS", raising=False)
-        assert _solver_config(build_parser().parse_args(argv)) == SolverConfig()
+        args = build_parser().parse_args(argv)
+        cfg = SolverConfig()
+        # Both commands share --cap and --workers; only solve builds a SolverConfig.
+        assert (args.cap, args.workers) == (cfg.exhaustive_cap, cfg.parallelism)
+        if args.command == "solve":
+            assert _solver_config(args) == cfg
 
     def test_verify_defaults(self):
         from equicut.cli import build_parser

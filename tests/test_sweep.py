@@ -5,10 +5,10 @@ import pytest
 
 from equicut import (
     InvalidInputError,
-    SolverConfig,
     compute_sweep_row,
     run_sweep,
     solver,
+    sweep,
     write_sweep_outputs,
 )
 from equicut.sweep import CSV_COLUMNS, SweepRow
@@ -21,7 +21,7 @@ def read_rows(path):
 
 class TestComputeRow:
     def test_exact_row_for_proven_power(self):
-        row = compute_sweep_row(12, 2, "auto", SolverConfig())
+        row = compute_sweep_row(12, 2, "auto")
         assert row.exact == 6
         assert row.construction == 6
         assert row.conjecture_match == "holds"
@@ -30,22 +30,21 @@ class TestComputeRow:
 
     def test_spanning_bound_lifts_lower_bound(self):
         # for d = 4 the third power's proven 12 beats edge connectivity 8
-        row = compute_sweep_row(13, 4, "auto", SolverConfig())
+        row = compute_sweep_row(13, 4, "auto")
         assert row.lower_bound == 12
 
-    def test_local_search_row_is_unsolved(self):
-        row = compute_sweep_row(12, 3, "local_search", SolverConfig(restarts=20, rng_seed=3))
-        assert row.exact is None
-        assert row.conjecture_match == "unsolved"
+    def test_rejects_local_search(self):
+        with pytest.raises(InvalidInputError, match="sweep method"):
+            compute_sweep_row(12, 3, "local_search")
 
     def test_branch_and_bound_row(self):
-        row = compute_sweep_row(12, 4, "branch_and_bound", SolverConfig())
+        row = compute_sweep_row(12, 4, "branch_and_bound")
         assert row.exact == 20
         assert row.conjecture_match == "holds"
 
     def test_rejects_out_of_range_d(self):
         with pytest.raises(InvalidInputError):
-            compute_sweep_row(10, 5, "auto", SolverConfig())
+            compute_sweep_row(10, 5, "auto")
 
 
 class TestLowerBoundOncePerRow:
@@ -67,22 +66,35 @@ class TestLowerBoundOncePerRow:
         assert flow_calls == [14]
 
     def test_branch_and_bound_row(self, flow_calls):
-        row = compute_sweep_row(12, 4, "branch_and_bound", SolverConfig())
+        row = compute_sweep_row(12, 4, "branch_and_bound")
         assert (row.method, row.lower_bound) == ("branch_and_bound", 12)
         assert flow_calls == [12]
 
 
 class TestRunSweep:
     def test_grid_filter_and_order(self):
-        rows = run_sweep((8, 12), (2, 5), SolverConfig())
+        rows = run_sweep((8, 12), (2, 5))
         keys = [(r.n, r.d) for r in rows]
         assert keys == sorted(keys)
         assert all(2 <= d < n // 2 for n, d in keys)
         assert (8, 2) in keys and (12, 4) in keys and (8, 4) not in keys
 
+    def test_local_search_rejected_before_any_row(self, monkeypatch):
+        def no_row(*args):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(sweep, "compute_sweep_row", no_row)
+        with pytest.raises(InvalidInputError, match="sweep method"):
+            run_sweep((10, 12), (2, 3), method="local_search")
+
+    def test_every_row_is_exact(self):
+        rows = run_sweep((8, 16), (2, 5), cap=12)
+        assert all(type(r.exact) is int and r.conjecture_match == "holds" for r in rows)
+        assert {r.method for r in rows} == {"exhaustive", "branch_and_bound"}
+
     def test_worker_pool_gives_identical_rows(self):
-        seq = run_sweep((9, 13), (2, 3), SolverConfig(), workers=1)
-        par = run_sweep((9, 13), (2, 3), SolverConfig(), workers=4)
+        seq = run_sweep((9, 13), (2, 3), workers=1)
+        par = run_sweep((9, 13), (2, 3), workers=4)
         assert [(r.n, r.d, r.exact, r.certificate) for r in seq] == [
             (r.n, r.d, r.exact, r.certificate) for r in par
         ]
@@ -90,10 +102,10 @@ class TestRunSweep:
 
 class TestOutputs:
     def test_csv_columns_and_reproducibility(self, tmp_path):
-        rows = run_sweep((10, 13), (2, 3), SolverConfig())
+        rows = run_sweep((10, 13), (2, 3))
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_sweep_outputs(rows, out1)
-        write_sweep_outputs(run_sweep((10, 13), (2, 3), SolverConfig()), out2)
+        write_sweep_outputs(run_sweep((10, 13), (2, 3)), out2)
         records = read_rows(out1)
         assert list(records[0]) == CSV_COLUMNS
         strip = lambda rs: [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in rs]
@@ -121,5 +133,5 @@ class TestOutputs:
         assert payload["exact"] == 18
 
     def test_holds_rows_write_no_sidecar(self, tmp_path):
-        rows = run_sweep((10, 11), (2, 2), SolverConfig())
+        rows = run_sweep((10, 11), (2, 2))
         assert write_sweep_outputs(rows, tmp_path / "s.csv") == []

@@ -49,3 +49,12 @@ def test_power_check_names_the_wrong_value():
     result = verify.check_cube_powers(table)
     assert not result.passed
     assert result.failures == ["n=9 d=3: got 11, want 12"]
+
+
+def test_power_check_reads_its_want_from_known_rna(monkeypatch):
+    real = verify.known_rna
+    monkeypatch.setattr(verify, "known_rna", lambda spec: 13 if spec.d == 3 else real(spec))
+    table = {(n, 3): SimpleNamespace(value=12) for n in range(8, 23)}
+    result = verify.check_cube_powers(table)
+    assert not result.passed
+    assert result.failures[0] == "n=8 d=3: got 12, want 13"

@@ -10,10 +10,11 @@ for both views. Three methods are provided:
   loop runs over plain bytes;
 * branch_and_bound - assigns vertices to sides with running capacities and
   an admissible completion bound: a greedy split for the edges into the
-  assigned vertices, plus the edge connectivity of the subgraph induced on
-  the unassigned suffix when both sides still take one of its vertices
-  (computed once per solve for every suffix; the whole graph's value is
-  the lower bound, already computed);
+  assigned vertices, read from each unassigned vertex's side counts as they
+  are carried down the search, plus the edge connectivity of the subgraph
+  induced on the unassigned suffix when both sides still take one of its
+  vertices (computed once per solve for every suffix; the whole graph's
+  value is the lower bound, already computed);
 * local_search - seeded multi-restart best-improvement pair swaps; each
   move groups the outside vertices into gain-level masks, so picking the
   best swap costs O(n) popcounts; returns an upper bound, never below the
@@ -300,6 +301,12 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     the limit, so the incumbents are found in the same order as with the
     first term alone; only the node count drops.
 
+    The first term is read from state carried down the search, not from a
+    scan: level[v] = |N(v) ∩ A| - |N(v) ∩ B| + Δ (Δ the maximum degree),
+    hist[i] counting the unassigned vertices at level i, and tb, the edges
+    between side B and the unassigned vertices. Assigning t moves only the
+    levels of later[t], its neighbours above t, until the branch returns.
+
     The incumbent comes from cfg.initial_upper_bound when given (the caller
     promises it is a true upper bound, e.g. a known construction value),
     otherwise from a short local search, which is returned at once when it
@@ -321,26 +328,50 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     pin_zero = _pin_zero(g)
     cap_a, cap_b = n // 2, n - n // 2
     inner = _suffix_connectivity(adj, lam)
+    max_deg = max((row.bit_count() for row in adj), default=0)
+    level = [max_deg] * n
+    hist = [0] * (2 * max_deg + 1)
+    hist[max_deg] = n
+    later = [tuple(iter_bits(row >> (t + 1) << (t + 1))) for t, row in enumerate(adj)]
 
-    def dfs(t: int, amask: int, bmask: int, ca: int, cb: int, cur: int) -> None:
+    def dfs(t: int, amask: int, ca: int, cb: int, cur: int, tb: int) -> None:
         nonlocal limit, best
-        if cur + _completion_bound(adj, inner, t, amask, bmask, cap_b - cb) >= limit:
+        # No unassigned vertex has more than cb neighbours on side B.
+        lo = max_deg - cb if cb < max_deg else 0
+        if cur + _completion_bound(hist, lo, tb, cap_b - cb, n - t, inner[t]) >= limit:
             return
         if t == n:
             limit = cur
             best = (cur, amask)
             return
+        lt = level[t]
+        hist[lt] -= 1
+        into_a = (adj[t] & amask).bit_count()
+        into_b = into_a + max_deg - lt  # level[t] = into_a - into_b + Δ
         # (cost, side) with side A = 0, so ties try A first.
         branches = []
         if ca < cap_a:
-            branches.append(((adj[t] & bmask).bit_count(), 0))
+            branches.append((into_b, 0))
         if cb < cap_b and not (t == 0 and pin_zero):
-            branches.append(((adj[t] & amask).bit_count(), 1))
+            branches.append((into_a, 1))
+        nbrs = later[t]
         for cost, side in sorted(branches):
+            step = 1 - 2 * side
+            for u in nbrs:
+                lu = level[u]
+                hist[lu] -= 1
+                hist[lu + step] += 1
+                level[u] = lu + step
             if side == 0:
-                dfs(t + 1, amask | (1 << t), bmask, ca + 1, cb, cur + cost)
+                dfs(t + 1, amask | (1 << t), ca + 1, cb, cur + cost, tb - into_b)
             else:
-                dfs(t + 1, amask, bmask | (1 << t), ca, cb + 1, cur + cost)
+                dfs(t + 1, amask, ca, cb + 1, cur + cost, tb - into_b + len(nbrs))
+            for u in nbrs:
+                lu = level[u]
+                hist[lu] -= 1
+                hist[lu - step] += 1
+                level[u] = lu - step
+        hist[lt] += 1
 
     dfs(0, 0, 0, 0, 0, 0)
 
@@ -351,27 +382,25 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     return (*best, upper, True)
 
 
-def _completion_bound(
-    adj: Sequence[int], inner: Sequence[int], t: int, amask: int, bmask: int, slots_b: int
-) -> int:
-    """Lower bound on the edges still to be cut once vertices 0..t-1 sit on
-    sides amask and bmask and slots_b of the vertices t..n-1 must join side
-    B; inner is _suffix_connectivity(adj, λ). See _branch_and_bound.
+def _completion_bound(hist: list[int], lo: int, tb: int, slots_b: int, free: int, inner_t: int) -> int:
+    """Lower bound on the edges still to be cut when free vertices are
+    unassigned, slots_b of them must join side B and tb edges join them to
+    side B; hist[i] counts them by level i = |N(v) ∩ A| - |N(v) ∩ B| + Δ,
+    none below lo, and inner_t is the edge connectivity of the subgraph
+    they induce. See _branch_and_bound.
     """
-    n = len(adj)
-    total_b = 0
-    diffs = []
-    for v in range(t, n):
-        a = (adj[v] & amask).bit_count()
-        b = (adj[v] & bmask).bit_count()
-        total_b += b
-        diffs.append(a - b)
-    if slots_b:
-        diffs.sort()
-        total_b += sum(diffs[:slots_b])
-        if slots_b < n - t:
-            total_b += inner[t]
-    return total_b
+    if not slots_b:
+        return tb
+    if slots_b < free:
+        tb += inner_t
+    # The slots_b lowest levels, each less Δ = len(hist) // 2.
+    tb -= slots_b * (len(hist) // 2)
+    i = lo
+    while hist[i] < slots_b:
+        tb += hist[i] * i
+        slots_b -= hist[i]
+        i += 1
+    return tb + slots_b * i
 
 
 # The solve methods by the name each reports in SolveResult.method.

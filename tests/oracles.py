@@ -108,15 +108,38 @@ def local_search_run_scan(n, edges, k, rng):
         side.add(v)
 
 
-def branch_and_bound_greedy(g, cfg, lam):
-    """Reference branch and bound with the greedy completion bound only: the
-    search as it stood before the suffix edge-connectivity term was added,
-    kept to show that the stronger bound changes no result. Returns the same
-    (value, mask, upper bound used, exact) as solver._branch_and_bound."""
+def completion_bound_scan(adj, inner, t, amask, bmask, slots_b):
+    """Reference completion bound, recounted from scratch at every node: the
+    bound solver._completion_bound reads from carried side counts. Vertices
+    0..t-1 sit on sides amask and bmask and slots_b of the vertices t..n-1
+    must join side B; inner is solver._suffix_connectivity(adj, λ)."""
+    n = len(adj)
+    total_b = 0
+    diffs = []
+    for v in range(t, n):
+        a = (adj[v] & amask).bit_count()
+        b = (adj[v] & bmask).bit_count()
+        total_b += b
+        diffs.append(a - b)
+    if slots_b:
+        diffs.sort()
+        total_b += sum(diffs[:slots_b])
+        if slots_b < n - t:
+            total_b += inner[t]
+    return total_b
+
+
+def branch_and_bound_scan(g, cfg, lam, suffix_term=True):
+    """Reference branch and bound that calls completion_bound_scan at every
+    node. Returns (the (value, mask, upper bound used, exact) of
+    solver._branch_and_bound, the number of nodes visited).
+
+    suffix_term=False drops the suffix edge-connectivity term, leaving the
+    greedy bound the search had before that term was added."""
     from dataclasses import replace
 
     from equicut.errors import InvalidInputError
-    from equicut.solver import _local_search_best, _pin_zero
+    from equicut.solver import _local_search_best, _pin_zero, _suffix_connectivity
 
     n = g.n
     if cfg.initial_upper_bound is not None:
@@ -127,33 +150,24 @@ def branch_and_bound_greedy(g, cfg, lam):
         best = _local_search_best(g, replace(cfg, restarts=min(cfg.restarts, 12), parallelism=1))
         upper = limit = best[0]
         if upper <= lam:
-            return (*best, upper, True)
+            return (*best, upper, True), 0
 
     adj = g.adj
     pin_zero = _pin_zero(g)
     cap_a, cap_b = n // 2, n - n // 2
-
-    def completion_bound(t, amask, bmask, slots_b):
-        total_b = 0
-        diffs = []
-        for v in range(t, n):
-            a = (adj[v] & amask).bit_count()
-            b = (adj[v] & bmask).bit_count()
-            total_b += b
-            diffs.append(a - b)
-        if slots_b:
-            diffs.sort()
-            total_b += sum(diffs[:slots_b])
-        return total_b
+    inner = _suffix_connectivity(adj, lam) if suffix_term else [0] * (n + 1)
+    nodes = 0
 
     def dfs(t, amask, bmask, ca, cb, cur):
-        nonlocal limit, best
-        if cur + completion_bound(t, amask, bmask, cap_b - cb) >= limit:
+        nonlocal limit, best, nodes
+        nodes += 1
+        if cur + completion_bound_scan(adj, inner, t, amask, bmask, cap_b - cb) >= limit:
             return
         if t == n:
             limit = cur
             best = (cur, amask)
             return
+        # (cost, side) with side A = 0, so ties try A first.
         branches = []
         if ca < cap_a:
             branches.append(((adj[t] & bmask).bit_count(), 0))
@@ -171,4 +185,12 @@ def branch_and_bound_greedy(g, cfg, lam):
         raise InvalidInputError(
             "initial_upper_bound is below the true optimum; no equicut found within it"
         )
-    return (*best, upper, True)
+    return (*best, upper, True), nodes
+
+
+def branch_and_bound_greedy(g, cfg, lam):
+    """Reference branch and bound with the greedy completion bound only: the
+    search as it stood before the suffix edge-connectivity term was added,
+    kept to show that the stronger bound changes no result. Returns the same
+    (value, mask, upper bound used, exact) as solver._branch_and_bound."""
+    return branch_and_bound_scan(g, cfg, lam, suffix_term=False)[0]

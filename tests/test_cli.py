@@ -99,6 +99,17 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["value"] == 6
 
+    def test_branch_and_bound_at_the_vertex_limit(self, capsys, tmp_path):
+        path = gen(capsys, tmp_path, "g.json", "--family", "cycle-power", "--n", "512", "--d", "1")
+        code, out, _ = run_cli(
+            capsys, "solve", "--graph", str(path), "--method", "branch-and-bound",
+            "--upper-bound", "2",
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert (result["value"], result["exact"]) == (2, True)
+        assert len(result["certificate"]) == 256
+
     def test_local_search_not_exact(self, capsys, tmp_path):
         path = gen(capsys, tmp_path, "g.json", "--family", "cycle-power", "--n", "12", "--d", "2")
         code, out, _ = run_cli(

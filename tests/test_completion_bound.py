@@ -1,5 +1,6 @@
 """The branch-and-bound completion bound: its suffix edge-connectivity term,
-its admissibility, and the search results it must leave unchanged."""
+its equality with the bound recounted at every node, its admissibility, and
+the search results and node counts it must leave unchanged."""
 
 import random
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equicut import (
+    MAX_VERTICES,
     GraphFamilySpec,
     SolverConfig,
     edge_connectivity,
@@ -22,7 +24,12 @@ from equicut import (
 from equicut.graphs import is_rotation_symmetric
 from equicut.verify import random_connected_graph
 
-from oracles import branch_and_bound_greedy
+from oracles import (
+    branch_and_bound_greedy,
+    branch_and_bound_scan,
+    completion_bound_scan,
+    cut_size_edges,
+)
 
 
 def assert_same_search(g, upper_bounds, exact_value=None):
@@ -77,6 +84,73 @@ class TestSameResultsAsGreedyBound:
         for n in range(1, 13):
             value = (n // 2) * ((n + 1) // 2)
             assert_same_search(make_complete(n), (None, value), value)
+
+
+@pytest.fixture
+def bound_calls(monkeypatch):
+    """A one-item list counting the solver._completion_bound calls made since
+    the test last set it to 0."""
+    bound = solver._completion_bound
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return bound(*args)
+
+    monkeypatch.setattr(solver, "_completion_bound", counting)
+    return calls
+
+
+def assert_same_nodes(bound_calls, g, upper_bounds):
+    """For each initial_upper_bound (None: local-search incumbent),
+    solver._branch_and_bound returns the result of the oracle that rescans
+    every node, after as many completion-bound calls as it visits nodes."""
+    lam = edge_connectivity(g)
+    for upper in upper_bounds:
+        cfg = SolverConfig(initial_upper_bound=upper)
+        bound_calls[0] = 0
+        got = solver._branch_and_bound(g, cfg, lam)
+        assert (got, bound_calls[0]) == branch_and_bound_scan(g, cfg, lam), (g, upper)
+
+
+class TestSameNodesAsScan:
+    def test_cycle_powers(self, bound_calls):
+        # Side B takes more than Δ = 2d vertices on every row, so the
+        # histogram walk starts at a clamped level 0.
+        for n in range(20, 35):
+            for d in (4, 5):
+                assert_same_nodes(bound_calls, make_cycle_power(n, d), (d * (d + 1),))
+
+    def test_random_graphs(self, bound_calls):
+        rng = random.Random(25)
+        for n in range(2, 23):
+            g = random_connected_graph(rng, n, 0.25)
+            exact = rna_exhaustive(g).value
+            assert_same_nodes(bound_calls, g, (None, exact, exact + 2))
+
+    def test_complete_graphs(self, bound_calls):
+        for n in range(1, 13):
+            assert_same_nodes(bound_calls, make_complete(n), (None, (n // 2) * ((n + 1) // 2)))
+
+    def test_odd_graphs_without_rotation_symmetry(self, bound_calls):
+        rng = random.Random(29)
+        graphs = [graph_from_edges(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3)])]
+        while len(graphs) < 6:
+            g = random_connected_graph(rng, rng.randrange(5, 20, 2), rng.choice((0.1, 0.25, 0.5)))
+            if not is_rotation_symmetric(g):
+                graphs.append(g)
+        for g in graphs:
+            assert not solver._pin_zero(g)
+            assert_same_nodes(bound_calls, g, (None, rna_exhaustive(g).value))
+
+
+def test_search_depth_at_the_vertex_limit():
+    # One DFS frame per vertex plus the leaf's.
+    g = make_cycle_power(MAX_VERTICES, 1)
+    result = rna_branch_and_bound(g, SolverConfig(initial_upper_bound=2))
+    assert result.value == 2
+    assert len(result.certificate.vertices) == MAX_VERTICES // 2
+    assert cut_size_edges(g.edges(), result.certificate.vertices) == 2
 
 
 def induced_suffix_connectivity_nx(nx, g, t):
@@ -157,11 +231,20 @@ def test_completion_bound_is_admissible(case):
     amask = sum(1 << v for v in range(t) if sides[v] == 0)
     bmask = sum(1 << v for v in range(t) if sides[v] == 1)
     slots_a = n // 2 - amask.bit_count()
+    slots_b = n - t - slots_a
     inner = solver._suffix_connectivity(adj, solver._rows_connectivity(adj))
-    bound = solver._completion_bound(adj, inner, t, amask, bmask, n - t - slots_a)
+    # The state _branch_and_bound carries down to this node, built afresh.
+    max_deg = max((row.bit_count() for row in adj), default=0)
+    level = [(row & amask).bit_count() - (row & bmask).bit_count() + max_deg for row in adj]
+    hist = [0] * (2 * max_deg + 1)
+    for v in range(t, n):
+        hist[level[v]] += 1
+    lo = max(max_deg - bmask.bit_count(), 0)
+    tb = sum((adj[v] & bmask).bit_count() for v in range(t, n))
+    bound = solver._completion_bound(hist, lo, tb, slots_b, n - t, inner[t])
     # The completion cost counts every cut edge with an unassigned end.
     best = min(
         sum(1 for u, v in edges if v >= t and ((amask | rest) >> u & 1) != ((amask | rest) >> v & 1))
         for rest in (sum(1 << v for v in chosen) for chosen in combinations(range(t, n), slots_a))
     )
-    assert bound <= best
+    assert bound == completion_bound_scan(adj, inner, t, amask, bmask, slots_b) <= best

@@ -52,6 +52,16 @@ def _worker_count(text: str) -> int:
     return workers
 
 
+def _cap(text: str) -> int:
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return cap
+
+
 def _family_spec(args: argparse.Namespace) -> GraphFamilySpec:
     family = args.family.replace("-", "_")
     jumps = None
@@ -176,7 +186,7 @@ def _add_workers_and_cap(p: argparse.ArgumentParser) -> None:
     # EQUICUT_WORKERS is rejected (exit 2) only when --workers is not given.
     p.add_argument("--workers", type=_worker_count, default=os.environ.get("EQUICUT_WORKERS", "1"),
                    help="worker processes (default: EQUICUT_WORKERS, else 1)")
-    p.add_argument("--cap", type=int, default=SolverConfig.exhaustive_cap,
+    p.add_argument("--cap", type=_cap, default=SolverConfig.exhaustive_cap,
                    help="exhaustive enumeration cap on n")
 
 

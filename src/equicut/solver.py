@@ -7,7 +7,8 @@ for both views. Three methods are provided:
 * exhaustive - walks every floor(n/2)-subset in revolving-door order,
   updating the cut size incrementally (two popcounts per step); the walk
   comes from bitset.swap_chunks as cached flat byte strings, so the inner
-  loop runs over plain bytes;
+  loop runs over plain bytes. On rotation-symmetric graphs it walks only the
+  subsets holding {0, 1}, plus the evens set (PROOF.md, Lemma P);
 * branch_and_bound - assigns vertices to sides with running capacities and
   an admissible completion bound: a greedy split for the edges into the
   assigned vertices, read from each unassigned vertex's side counts as they
@@ -68,6 +69,8 @@ class SolverConfig:
             raise InvalidInputError("restarts must be >= 1")
         if self.parallelism < 1:
             raise InvalidInputError("parallelism must be >= 1")
+        if self.exhaustive_cap < 0:
+            raise InvalidInputError("exhaustive_cap must be >= 0")
 
 
 @dataclass
@@ -159,9 +162,10 @@ def _pin_zero(g: Graph) -> bool:
 
     For even n a subset and its complement cut the same edges. Under rotation
     symmetry every rotation class of subsets, including the one holding the
-    lexicographically smallest minimizer, has a member containing vertex 0.
-    Otherwise (odd n, no symmetry) pinning can miss the minimum, and for
-    n = 1 side A is empty.
+    lexicographically smallest minimizer, has a member containing vertex 0;
+    rna_exhaustive then pins vertex 1 too (PROOF.md, Lemma P). Otherwise
+    (odd n, no symmetry) pinning can miss the minimum, and for n = 1 side A
+    is empty.
     """
     return g.n % 2 == 0 or (g.n > 1 and is_rotation_symmetric(g))
 
@@ -170,10 +174,14 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     """Minimum equicut by complete enumeration; certificate is the
     lexicographically smallest minimizer (sorted-vertex-tuple order).
 
-    Vertex 0 is pinned inside X when _pin_zero allows it. The walk is split
-    into one block per smallest non-pinned member, or is a single block when
-    the pinned vertices already fill X (n = 1, or n = 2 or 3 with vertex 0
-    pinned). The blocks are the same for any worker count.
+    X holds a pinned prefix 0..p-1. On a rotation-symmetric graph with
+    floor(n/2) >= 2, p = 2, and the evens set {0, 2, ..., 2k-2} is one more
+    candidate: by PROOF.md's Lemma P the lexicographically smallest
+    minimizer is one of these. Otherwise p = 1 when _pin_zero allows it and
+    0 if not. The walk is split into one block per smallest non-pinned
+    member, or is a single block when the pinned vertices already fill X
+    (n = 1, n = 2 or 3 with vertex 0 pinned, n = 4 or 5 with {0, 1}). The
+    blocks are the same for any worker count.
     """
     cfg = cfg or SolverConfig()
     if g.n > cfg.exhaustive_cap:
@@ -185,14 +193,17 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
         raise EnumerationCapError(f"exhaustive enumeration supports n <= {MAX_WALK_N}, got n={g.n}")
 
     def search(lower: int) -> tuple[int, int, int, bool]:
-        k = g.n // 2
-        # 1 when vertex 0 is pinned: then the pinned mask, the number of
-        # pinned vertices and the lowest free vertex are all 1.
-        fixed = int(_pin_zero(g))
-        if k == fixed:
-            tasks = [(g, fixed, fixed, k)]
+        n, k = g.n, g.n // 2
+        # X holds the pinned prefix 0..p-1; p is also the lowest free vertex.
+        p = 2 if k >= 2 and is_rotation_symmetric(g) else int(_pin_zero(g))
+        pinned = (1 << p) - 1
+        if k == p:
+            tasks = [(g, pinned, p, k)]
         else:
-            tasks = [(g, fixed | (1 << s), s + 1, k) for s in range(fixed, g.n - k + 1 + fixed)]
+            tasks = [(g, pinned | (1 << s), s + 1, k) for s in range(p, n - k + 1 + p)]
+        if p == 2:
+            # The one minimizer shape without vertex 1 (PROOF.md, Lemma P).
+            tasks.append((g, sum(1 << v for v in range(0, 2 * k, 2)), n, k))
         value, mask = reduce(_merge, _parallel_map(_min_equicut_block, tasks, cfg.parallelism))
         return value, mask, value, True
 

@@ -144,6 +144,19 @@ class TestSolve:
         assert code == 3
         assert "cap" in err
 
+    @pytest.mark.parametrize("cap", ["-3", "-1", "ten"])
+    def test_bad_cap_exits_2(self, capsys, tmp_path, cap):
+        path = gen(capsys, tmp_path, "g.json", "--family", "cycle", "--n", "12")
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--graph", str(path), "--method", "exhaustive", "--cap", cap])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
+        code, out, _ = run_cli(
+            capsys, "solve", "--graph", str(path), "--method", "branch-and-bound", "--cap", "0"
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == 2
+
     def test_missing_file_exits_5(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "solve", "--graph", str(tmp_path / "nope.json"))
         assert code == 5
@@ -277,6 +290,24 @@ class TestSweep:
             ])
         assert exc.value.code == 2
         assert extra[0] in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("cap", ["-1", "-30", "ten"])
+    def test_bad_cap_exits_2_before_any_row(self, capsys, tmp_path, monkeypatch, cap):
+        # A negative cap used to send every auto row to branch and bound.
+        from equicut import cli
+
+        def fake_sweep(*args, **kwargs):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "sweep", "--n-min", "10", "--n-max", "11", "--d-min", "2", "--d-max", "2",
+                "--cap", cap, "--out", str(tmp_path / "x.csv"),
+            ])
+        assert exc.value.code == 2
+        assert "--cap" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     def test_upper_bound_flag_is_rejected(self, capsys, tmp_path, monkeypatch):

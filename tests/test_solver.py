@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from equicut import (
+    DisconnectedGraphError,
     EnumerationCapError,
     InvalidInputError,
     SolverConfig,
@@ -120,6 +121,29 @@ class TestExhaustive:
         assert not solver._pin_zero(g)
         ex = rna_exhaustive(g)
         assert (ex.value, ex.certificate.vertices) == min_equicut_naive(g.n, g.edges())
+
+    def test_every_small_circulant_matches_naive_oracle(self):
+        # Rotation symmetry pins {0, 1}, plus the evens set as one extra
+        # candidate (PROOF.md, Lemma P); some of these need that candidate.
+        evens_answers = []
+        solved = 0
+        for n in range(4, 14):
+            jumps = range(1, n // 2 + 1)
+            for size in range(1, len(jumps) + 1):
+                for js in combinations(jumps, size):
+                    try:
+                        g = make_circulant(n, js)
+                    except DisconnectedGraphError:
+                        continue
+                    solved += 1
+                    result = rna_exhaustive(g)
+                    want = min_equicut_naive(g.n, g.edges())
+                    assert (result.value, result.certificate.vertices) == want, (n, js)
+                    if want[1] == tuple(range(0, 2 * (n // 2), 2)):
+                        evens_answers.append((n, js))
+        assert solved == 218
+        assert len(evens_answers) == 36
+        assert (7, (2,)) in evens_answers
 
     def test_odd_asymmetric_graph_keeps_vertex_zero_free(self):
         # Odd n, no rotation symmetry: with vertex 0 pinned to the floor(n/2)
@@ -319,6 +343,9 @@ class TestConfig:
             SolverConfig(restarts=0)
         with pytest.raises(InvalidInputError):
             SolverConfig(parallelism=0)
+        with pytest.raises(InvalidInputError, match="exhaustive_cap"):
+            SolverConfig(exhaustive_cap=-1)
+        assert SolverConfig(exhaustive_cap=0).exhaustive_cap == 0
 
     def test_result_json_shape(self):
         result = rna_exhaustive(make_cycle(8))
@@ -364,6 +391,18 @@ class TestTaskList:
         assert calls[0] == calls[1]
         assert len(calls[0]) == g.n - g.n // 2 + 1
         assert results[0].certificate == results[1].certificate
+
+    def test_rotation_symmetric_blocks(self, monkeypatch):
+        # {0, 1} pinned: one block per third member, then the evens set, so
+        # --workers still has blocks to spread.
+        g = make_cycle_power(22, 2)
+        calls = self.record_tasks(monkeypatch)
+        results = [rna_exhaustive(g, SolverConfig(parallelism=w)) for w in (1, 4)]
+        assert calls[0] == calls[1]
+        tasks = calls[0]
+        assert [t[2] for t in tasks[:-1]] == [0b11 | 1 << s for s in range(2, 14)]
+        assert tasks[-1][2:] == (sum(1 << v for v in range(0, 22, 2)), 22, 11)
+        assert results[0].certificate.vertices == tuple(range(11))
 
     def test_local_search_restarts(self, monkeypatch):
         g = make_cycle_power(15, 3)

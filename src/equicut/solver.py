@@ -28,11 +28,14 @@ rest of a dominating set.
 Exhaustive search and local search each build one fixed task list (walk
 blocks, restarts) whatever the worker count, and hand it to _parallel_map;
 the count only decides whether the tasks run in this process or in a pool,
-which never has more processes than there are tasks or CPUs.
+which never has more processes than there are tasks or usable CPUs. There is
+one pool per process: started on first use, never at import, reused by every
+later call of the same size and torn down at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import random
 import time
@@ -95,14 +98,56 @@ class SolveResult:
         }
 
 
-def _parallel_map(fn, tasks: list, workers: int) -> list:
+def _cpu_count() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, so a taskset-restricted run sizes its pool to that set."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# The process-wide pool as (size, Pool), or None before the first call that
+# needs one.
+_pool = None
+
+
+def _close_pool() -> None:
+    """Terminate the shared pool, if any, and join its workers and threads."""
+    global _pool
+    if _pool is not None:
+        pool = _pool[1]
+        _pool = None
+        pool.terminate()
+        pool.join()
+
+
+def _forget_pool() -> None:
+    # A forked child must not use, or terminate at exit, its parent's pool.
+    global _pool
+    _pool = None
+
+
+atexit.register(_close_pool)
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _parallel_map(fn, tasks: list, workers: int, chunksize: int | None = None) -> list:
     """fn(*task) for each task, in order, on at most min(workers, len(tasks),
-    CPUs) processes; one process means no pool at all."""
-    size = min(workers, len(tasks), os.cpu_count() or 1)
+    CPUs) processes; one process means no pool at all.
+
+    More processes run on the shared pool, which is started by the first
+    such call; a call of another size closes it before starting its own.
+    chunksize is passed to Pool.starmap.
+    """
+    global _pool
+    size = min(workers, len(tasks), _cpu_count())
     if size <= 1:
         return [fn(*task) for task in tasks]
-    with Pool(size) as pool:
-        return pool.starmap(fn, tasks)
+    if _pool is not None and _pool[0] != size:
+        _close_pool()
+    if _pool is None:
+        _pool = (size, Pool(size))
+    return _pool[1].starmap(fn, tasks, chunksize)
 
 
 def _merge(best: tuple[int, int], cand: tuple[int, int]) -> tuple[int, int]:

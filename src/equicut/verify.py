@@ -7,6 +7,10 @@ bound agreement corpus. Each check is a body that returns (failures,
 detail); the `_check` decorator times it and turns it into a CheckResult,
 which passes when there are no failures, counts them in the detail and keeps
 the first 20. The CLI and the test suite share these checks.
+
+run_paper_suite runs checks 1 and 5-8 and the check-2 solve table, one job
+per n, concurrently on the solver's shared pool, then checks 2-4 on the
+merged table and check 9 last, on the same pool.
 """
 
 from __future__ import annotations
@@ -41,10 +45,12 @@ from .parity import (
     signature_from_labeling,
     switch_vertices,
 )
-from .solver import SolveResult, SolverConfig, rna_branch_and_bound, rna_exhaustive
+from .solver import SolveResult, SolverConfig, _parallel_map, rna_branch_and_bound, rna_exhaustive
 from .sweep import run_sweep, write_sweep_outputs
 
 DEFAULT_SEED = 20260801
+# Processes for the paper gate's jobs and check 9's pool runs, at most.
+_GATE_WORKERS = 4
 
 
 @dataclass
@@ -140,9 +146,13 @@ def solve_cycle_power_table(n_max: int = 22) -> dict[tuple[int, int], SolveResul
     """Exact values of every cycle power with 5 <= n <= n_max, 2 <= d < floor(n/2)."""
     table: dict[tuple[int, int], SolveResult] = {}
     for n in range(5, n_max + 1):
-        for d in range(2, n // 2):
-            table[(n, d)] = rna_exhaustive(make_cycle_power(n, d))
+        table.update(_cycle_power_row(n))
     return table
+
+
+def _cycle_power_row(n: int) -> dict[tuple[int, int], SolveResult]:
+    """The table entries for one n."""
+    return {(n, d): rna_exhaustive(make_cycle_power(n, d)) for d in range(2, n // 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,36 +304,63 @@ def check_worker_determinism():
     for n in range(6, 23):
         g = make_cycle_power(n, 2)
         a = rna_exhaustive(g, SolverConfig(parallelism=1))
-        b = rna_exhaustive(g, SolverConfig(parallelism=4))
+        b = rna_exhaustive(g, SolverConfig(parallelism=_GATE_WORKERS))
         if a.value != b.value or a.certificate != b.certificate:
             failures.append(
                 f"n={n}: workers=1 gave ({a.value}, {a.certificate.vertices}), "
-                f"workers=4 gave ({b.value}, {b.certificate.vertices})"
+                f"workers={_GATE_WORKERS} gave ({b.value}, {b.certificate.vertices})"
             )
-    return failures, "second-power runs with 1 and 4 workers give identical results"
+    return failures, f"second-power runs with 1 and {_GATE_WORKERS} workers give identical results"
 
 
 # ---------------------------------------------------------------------------
 # suites
 
 
+def _timed_call(fn, *args):
+    """(fn(*args), seconds it took), for a gate job run wherever the pool puts it."""
+    start = time.perf_counter()
+    out = fn(*args)
+    return out, time.perf_counter() - start
+
+
 def run_paper_suite(seed: int = DEFAULT_SEED, out_dir: str | Path | None = None) -> list[CheckResult]:
-    """All nine checks; the square/cube/sandwich checks share one solve table."""
-    results = [check_known_values()]
-    table_start = time.perf_counter()
-    table = solve_cycle_power_table(22)
-    table_ms = (time.perf_counter() - table_start) * 1000.0
+    """All nine checks; the square/cube/sandwich checks share one solve table.
+
+    Checks 1 and 5-8 and the table rows, one per n, are independent jobs on
+    at most _GATE_WORKERS processes. They are sent one at a time, longest
+    first (rows 22 and 21, then checks 5-7), so no process is left with
+    the big rows. Each check times itself where it runs; check 2 is charged
+    the summed row times.
+    """
+    rows = [(_cycle_power_row, n) for n in range(22, 4, -1)]
+    checks = [
+        (check_formula_identities, 60),
+        (check_solver_agreement, seed),
+        (check_parity_machinery, 1000, seed),
+        (check_known_values,),
+        (check_conjecture_sweep, out_dir, seed),
+    ]
+    outs = _parallel_map(_timed_call, rows[:2] + checks + rows[2:], _GATE_WORKERS, chunksize=1)
+    (formulas, _), (agreement, _), (parity, _), (known, _), (sweep, _) = outs[2:7]
+    table: dict[tuple[int, int], SolveResult] = {}
+    table_s = 0.0
+    for part, seconds in outs[:2] + outs[7:]:
+        table.update(part)
+        table_s += seconds
     square = check_square_powers(table)
-    square.elapsed_ms += table_ms  # the shared solves are charged to the first consumer
-    results.append(square)
-    results.append(check_cube_powers(table))
-    results.append(check_sandwich(table))
-    results.append(check_formula_identities(60))
-    results.append(check_solver_agreement(seed))
-    results.append(check_parity_machinery(1000, seed))
-    results.append(check_conjecture_sweep(out_dir, seed))
-    results.append(check_worker_determinism())
-    return results
+    square.elapsed_ms += table_s * 1000.0
+    return [
+        known,
+        square,
+        check_cube_powers(table),
+        check_sandwich(table),
+        formulas,
+        agreement,
+        parity,
+        sweep,
+        check_worker_determinism(),
+    ]
 
 
 def run_formulas_suite(n_max: int = 60) -> list[CheckResult]:

@@ -7,6 +7,7 @@ equicut.verify so the CLI `verify --suite paper` runs the same gate.
 
 import pytest
 
+from equicut import solver
 from equicut.verify import run_paper_suite
 
 # criterion id -> wall-clock budget in ms
@@ -24,8 +25,12 @@ BUDGETS_MS = {
 
 
 @pytest.fixture(scope="module")
-def paper_results(tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("acceptance-sweep")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("acceptance-sweep")
+
+
+@pytest.fixture(scope="module")
+def paper_results(out_dir):
     results = run_paper_suite(out_dir=out_dir)
     return {r.criterion: r for r in results}
 
@@ -44,3 +49,13 @@ def test_criterion(paper_results, criterion):
 
 def test_all_nine_criteria_present(paper_results):
     assert sorted(paper_results) == sorted(BUDGETS_MS)
+
+
+def test_pool_and_one_process_give_the_same_gate(paper_results, out_dir, monkeypatch):
+    # One usable CPU: every gate job and check 9 run in this process.
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+    inline = run_paper_suite(out_dir=out_dir)
+    assert [r.criterion for r in inline] == list(paper_results) == sorted(BUDGETS_MS)
+    for r in inline:
+        pooled = paper_results[r.criterion]
+        assert (r.passed, r.detail, r.failures) == (pooled.passed, pooled.detail, pooled.failures)

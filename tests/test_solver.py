@@ -1,6 +1,11 @@
+import os
 import random
+import subprocess
+import sys
+import time
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -413,35 +418,135 @@ class TestTaskList:
         assert results[0].certificate == results[1].certificate
 
 
+@pytest.fixture
+def fresh_pool():
+    """No shared pool before or after the test, so a swapped solver.Pool
+    neither meets a real pool nor leaves a fake one behind."""
+    solver._close_pool()
+    yield
+    solver._close_pool()
+
+
+class FakePool:
+    """Runs starmap in this process and logs its life as (event, size)."""
+
+    events: list = []
+
+    def __init__(self, size):
+        self.size = size
+        self.events.append(("create", size))
+
+    def starmap(self, fn, tasks, chunksize=None):
+        return [fn(*task) for task in tasks]
+
+    def terminate(self):
+        self.events.append(("terminate", self.size))
+
+    def join(self):
+        self.events.append(("join", self.size))
+
+
+@pytest.fixture
+def fake_pool(fresh_pool, monkeypatch):
+    events = []
+    monkeypatch.setattr(FakePool, "events", events)
+    monkeypatch.setattr(solver, "Pool", FakePool)
+    return events
+
+
+def run_in_subprocess(code: str) -> str:
+    src = Path(solver.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestParallelMap:
-    def test_pool_size_is_clamped(self, monkeypatch):
-        requested = []
-
-        class FakePool:
-            def __init__(self, size):
-                requested.append(size)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def starmap(self, fn, tasks):
-                return [fn(*task) for task in tasks]
-
-        monkeypatch.setattr(solver, "Pool", FakePool)
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+    def test_pool_size_is_clamped(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 3)
         g = make_cycle_power(12, 2)
         cfg = SolverConfig(parallelism=64, restarts=64)
         assert rna_exhaustive(g, cfg).value == rna_exhaustive(g).value
         assert rna_local_search(g, cfg).value == rna_local_search(g, replace(cfg, parallelism=1)).value
         rows = run_sweep((9, 12), (2, 3), workers=64)
         assert [r.exact for r in rows] == [6, 12] * 4
-        assert requested == [3, 3, 3]
+        # Three calls of size 3 share one pool.
+        assert fake_pool == [("create", 3)]
 
     def test_single_slot_runs_inline(self, monkeypatch):
         monkeypatch.setattr(solver, "Pool", None)
         assert solver._parallel_map(abs, [(-1,), (2,), (-3,)], 1) == [1, 2, 3]
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
         assert solver._parallel_map(abs, [(-4,), (5,)], 8) == [4, 5]
+
+    def test_size_change_closes_the_old_pool_first(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 8)
+        tasks = [(-v,) for v in range(6)]
+        assert solver._parallel_map(abs, tasks, 2) == list(range(6))
+        assert solver._parallel_map(abs, tasks, 2) == list(range(6))
+        assert solver._parallel_map(abs, tasks[:3], 4) == [0, 1, 2]
+        assert fake_pool == [("create", 2), ("terminate", 2), ("join", 2), ("create", 3)]
+        solver._close_pool()
+        assert fake_pool[-2:] == [("terminate", 3), ("join", 3)]
+        assert solver._pool is None
+
+    def test_cpu_count_reads_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(solver.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert solver._cpu_count() == 2
+        monkeypatch.delattr(solver.os, "sched_getaffinity", raising=False)
+        assert solver._cpu_count() == 64
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: None)
+        assert solver._cpu_count() == 1
+
+    @pytest.mark.skipif(solver._cpu_count() < 2, reason="a pool needs 2 CPUs")
+    def test_same_size_calls_reuse_the_real_pool(self, fresh_pool):
+        tasks = [()] * 8
+        first = set(solver._parallel_map(os.getpid, tasks, 2, chunksize=1))
+        pool = solver._pool
+        second = set(solver._parallel_map(os.getpid, tasks, 2, chunksize=1))
+        assert solver._pool is pool
+        assert os.getpid() not in first | second
+        assert first | second <= {p.pid for p in pool[1]._pool}
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_forgets_the_pool(self, fake_pool, monkeypatch):
+        monkeypatch.setattr(solver, "_cpu_count", lambda: 2)
+        solver._parallel_map(abs, [(-1,), (-2,)], 2)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if solver._pool is None else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert solver._pool is not None
+
+    def test_import_starts_no_process(self):
+        out = run_in_subprocess(
+            "import multiprocessing, threading\n"
+            "import equicut, equicut.cli\n"
+            "from equicut import solver\n"
+            "print(solver._pool, multiprocessing.active_children(), threading.active_count())\n"
+        )
+        assert out.split() == ["None", "[]", "1"]
+
+    @pytest.mark.skipif(solver._cpu_count() < 2, reason="a pool needs 2 CPUs")
+    def test_no_worker_outlives_the_process(self):
+        out = run_in_subprocess(
+            "from equicut import SolverConfig, make_cycle_power, rna_exhaustive, solver\n"
+            "rna_exhaustive(make_cycle_power(18, 3), SolverConfig(parallelism=2))\n"
+            "print(*(p.pid for p in solver._pool[1]._pool))\n"
+        )
+        pids = [int(pid) for pid in out.split()]
+        assert len(pids) == 2
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            return True
+
+        deadline = time.monotonic() + 10
+        while any(map(alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(alive, pids))

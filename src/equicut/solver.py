@@ -131,13 +131,15 @@ atexit.register(_close_pool)
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _parallel_map(fn, tasks: list, workers: int, chunksize: int | None = None) -> list:
+def _parallel_map(fn, tasks: list, workers: int) -> list:
     """fn(*task) for each task, in order, on at most min(workers, len(tasks),
     CPUs) processes; one process means no pool at all.
 
     More processes run on the shared pool, which is started by the first
     such call; a call of another size closes it before starting its own.
-    chunksize is passed to Pool.starmap.
+    Tasks are sent one at a time: their costs are uneven (the first
+    exhaustive block is near half the walk), so batching them would leave
+    one process with the big ones.
     """
     global _pool
     size = min(workers, len(tasks), _cpu_count())
@@ -147,7 +149,7 @@ def _parallel_map(fn, tasks: list, workers: int, chunksize: int | None = None) -
         _close_pool()
     if _pool is None:
         _pool = (size, Pool(size))
-    return _pool[1].starmap(fn, tasks, chunksize)
+    return _pool[1].starmap(fn, tasks, 1)
 
 
 def _merge(best: tuple[int, int], cand: tuple[int, int]) -> tuple[int, int]:

@@ -5,8 +5,10 @@ edges; for d in {2, 3} that is proven optimal, for d >= 4 it is conjectured.
 Every sweep method is exact (local search is a `solve` method only), so each
 row records the exact value next to the construction value and is classified
 holds / fails, never asserting the conjecture. A "fails" row (exact below
-d(d+1)) would be a genuine discovery, so its certificate is preserved in a
-sidecar JSON.
+d(d+1)) would be a genuine discovery, so its CSV fields and its certificate
+are preserved in a sidecar JSON.
+
+run_sweep is the one entry: a single cell is run_sweep((n, n), (d, d)).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 from .errors import InvalidInputError
 from .formulas import block_cut_value, known_rna
 from .graphs import GraphFamilySpec, check_vertex_count, make_cycle_power
-from .solver import DEFAULT_ENUMERATION_CAP, METHODS, SolveResult, SolverConfig, _parallel_map
+from .solver import DEFAULT_ENUMERATION_CAP, METHODS, SolverConfig, _parallel_map
 
 CSV_COLUMNS = [
     "family",
@@ -48,7 +50,6 @@ class SweepRow:
     conjecture_match: str
     elapsed_ms: int
     certificate: tuple[int, ...] = ()
-    result: SolveResult | None = None
 
 
 def _spanning_known_bound(n: int, d: int) -> int:
@@ -57,13 +58,8 @@ def _spanning_known_bound(n: int, d: int) -> int:
     return known_rna(GraphFamilySpec("cycle_power", n, d=min(d - 1, 3)))
 
 
-def _check_method(method: str) -> None:
-    if method not in SWEEP_METHODS:
-        raise InvalidInputError(f"sweep method must be one of {SWEEP_METHODS}")
-
-
-def compute_sweep_row(n: int, d: int, method: str, cap: int = DEFAULT_ENUMERATION_CAP) -> SweepRow:
-    _check_method(method)
+def _sweep_row(n: int, d: int, method: str, cap: int) -> SweepRow:
+    """One grid cell; run_sweep has checked the method."""
     construction = block_cut_value(n, d)  # rejects d outside 2 <= d < floor(n/2)
     g = make_cycle_power(n, d)
 
@@ -95,7 +91,6 @@ def compute_sweep_row(n: int, d: int, method: str, cap: int = DEFAULT_ENUMERATIO
         conjecture_match=match,
         elapsed_ms=round(result.elapsed * 1000),
         certificate=result.certificate.vertices,
-        result=result,
     )
 
 
@@ -110,7 +105,8 @@ def run_sweep(
 
     Each row runs one worker; `workers` spreads the rows over processes.
     """
-    _check_method(method)
+    if method not in SWEEP_METHODS:
+        raise InvalidInputError(f"sweep method must be one of {SWEEP_METHODS}")
     grid = [
         (n, d, method, cap)
         for n in range(n_range[0], n_range[1] + 1)
@@ -119,11 +115,12 @@ def run_sweep(
     ]
     if grid:
         check_vertex_count(grid[-1][0])  # the largest n: reject the grid before any row runs
-    return _parallel_map(compute_sweep_row, grid, workers)
+    return _parallel_map(_sweep_row, grid, workers)
 
 
 def write_sweep_outputs(rows: list[SweepRow], out_path: str | Path) -> list[Path]:
-    """Write the CSV (plus one certificate sidecar per `fails` row).
+    """Write the CSV, plus one sidecar per `fails` row with its CSV fields
+    and its certificate.
 
     Output is byte-identical across reruns except for the elapsed_ms column.
     """
@@ -138,16 +135,7 @@ def write_sweep_outputs(rows: list[SweepRow], out_path: str | Path) -> list[Path
         if row.conjecture_match != "fails":
             continue
         sidecar = out_path.with_name(f"{out_path.stem}.counterexample-n{row.n}-d{row.d}.json")
-        payload = {
-            "family": row.family,
-            "n": row.n,
-            "d": row.d,
-            "construction": row.construction,
-            "exact": row.exact,
-            "certificate": list(row.certificate),
-        }
-        if row.result is not None:
-            payload["solve"] = row.result.to_json_dict()
+        payload = {c: getattr(row, c) for c in CSV_COLUMNS + ["certificate"]}
         sidecar.write_text(json.dumps(payload, indent=2) + "\n")
         sidecars.append(sidecar)
     return sidecars

@@ -33,7 +33,7 @@ from .formulas import (
     kang_upper_bound,
     known_rna,
 )
-from .graphs import Graph, GraphFamilySpec, graph_from_edges, make_circulant, make_cycle_power
+from .graphs import MAX_VERTICES, Graph, GraphFamilySpec, graph_from_edges, make_circulant, make_cycle_power
 from .parity import (
     Equicut,
     ParityLabeling,
@@ -45,7 +45,14 @@ from .parity import (
     signature_from_labeling,
     switch_vertices,
 )
-from .solver import SolveResult, SolverConfig, _parallel_map, rna_branch_and_bound, rna_exhaustive
+from .solver import (
+    DEFAULT_ENUMERATION_CAP,
+    SolveResult,
+    SolverConfig,
+    _parallel_map,
+    rna_branch_and_bound,
+    rna_exhaustive,
+)
 from .sweep import run_sweep, write_sweep_outputs
 
 DEFAULT_SEED = 20260801
@@ -275,7 +282,7 @@ def check_conjecture_sweep(out_dir: str | Path | None = None, seed: int = DEFAUL
     exact and uses no randomness, so nothing reads `seed`; it stays for
     callers that pass (out_dir, seed)."""
     failures = []
-    rows = run_sweep((10, 18), (4, 4)) + run_sweep((12, 18), (5, 5))
+    rows = run_sweep((10, 18), (4, 5))  # the grid starts d = 5 at n = 12
     if out_dir is None:
         target = tempfile.TemporaryDirectory(prefix="equicut-sweep-")
     else:
@@ -341,7 +348,7 @@ def run_paper_suite(seed: int = DEFAULT_SEED, out_dir: str | Path | None = None)
         (check_known_values,),
         (check_conjecture_sweep, out_dir, seed),
     ]
-    outs = _parallel_map(_timed_call, rows[:2] + checks + rows[2:], _GATE_WORKERS, chunksize=1)
+    outs = _parallel_map(_timed_call, rows[:2] + checks + rows[2:], _GATE_WORKERS)
     (formulas, _), (agreement, _), (parity, _), (known, _), (sweep, _) = outs[2:7]
     table: dict[tuple[int, int], SolveResult] = {}
     table_s = 0.0
@@ -365,13 +372,14 @@ def run_paper_suite(seed: int = DEFAULT_SEED, out_dir: str | Path | None = None)
 
 def run_formulas_suite(n_max: int = 60) -> list[CheckResult]:
     # C_6^2 is the first instance; a smaller range would pass on none.
-    if n_max < 6:
-        raise InvalidInputError(f"the formulas suite needs n_max >= 6, got {n_max}")
+    if not 6 <= n_max <= MAX_VERTICES:
+        raise InvalidInputError(f"the formulas suite needs 6 <= n_max <= {MAX_VERTICES}, got {n_max}")
     return [check_formula_identities(n_max)]
 
 
 def run_solvers_suite(seed: int = DEFAULT_SEED, n_max: int = 14) -> list[CheckResult]:
-    # The random circulants take n from 5..n_max.
-    if n_max < 5:
-        raise InvalidInputError(f"the solvers suite needs n_max >= 5, got {n_max}")
+    # The random circulants take n from 5..n_max, and exhaustive solves
+    # every cycle power up to n_max.
+    if not 5 <= n_max <= DEFAULT_ENUMERATION_CAP:
+        raise InvalidInputError(f"the solvers suite needs 5 <= n_max <= {DEFAULT_ENUMERATION_CAP}, got {n_max}")
     return [check_solver_agreement(seed, n_max)]

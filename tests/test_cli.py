@@ -241,6 +241,26 @@ class TestLabel:
         assert out == ""
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2, 3, 4]",  # not an object
+            '{"n": 4}',  # no "f"
+            '{"f": "1234"}',  # "f" not a list
+            '{"f": []}',
+            '{"n": 5, "f": [1, 2, 3, 4]}',  # "n" disagrees with len(f)
+            '{"f": [1, 2, 3, 4]',  # not valid JSON
+        ],
+    )
+    def test_malformed_labeling_file_exits_2(self, capsys, tmp_path, text):
+        graph = gen(capsys, tmp_path, "c4.json", "--family", "cycle", "--n", "4")
+        lab = tmp_path / "lab.json"
+        lab.write_text(text)
+        code, out, err = run_cli(capsys, "label", "--graph", str(graph), "--labeling", str(lab))
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+
 
 class TestSweep:
     def test_writes_expected_rows(self, capsys, tmp_path):
@@ -335,7 +355,7 @@ class TestSweep:
         def no_row(*args, **kwargs):
             raise AssertionError("no row may be solved")
 
-        monkeypatch.setattr(sweep, "compute_sweep_row", no_row)
+        monkeypatch.setattr(sweep, "_sweep_row", no_row)
         code, out, err = run_cli(
             capsys,
             "sweep", "--n-min", "511", "--n-max", "513", "--d-min", "2", "--d-max", "2",
@@ -424,9 +444,11 @@ class TestVerify:
         [
             ("solvers", "4"),  # no n for the random circulants
             ("solvers", "0"),
+            ("solvers", "31"),  # above the exhaustive cap its cycle powers need
             ("formulas", "0"),
             ("formulas", "4"),  # no instance in range
             ("formulas", "-3"),
+            ("formulas", "513"),  # above MAX_VERTICES
             ("paper", "20"),  # the paper suite has a fixed range
         ],
     )

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicut import (
     Equicut,
@@ -8,6 +9,7 @@ from equicut import (
     ParityLabeling,
     SignedGraph,
     equicut_size,
+    graph_from_json_dict,
     is_balanced,
     is_parity_signed,
     make_complete,
@@ -42,6 +44,34 @@ class TestParityLabeling:
     def test_json_round_trip(self):
         lab = ParityLabeling([2, 1, 3])
         assert ParityLabeling.from_json_dict({"n": lab.n, "f": list(lab.f)}).f == lab.f
+
+
+# Any parsed JSON document, with the keys the loaders read made likely.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=6) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=24,
+)
+_small = st.integers(-1, 4)
+_permutations = st.integers(1, 4).flatmap(lambda n: st.permutations(range(1, n + 1)))
+_json_documents = _json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "n": _small | _json_values,
+        "edges": st.lists(st.lists(_small, min_size=2, max_size=2) | _json_values, max_size=6),
+        "f": _permutations | st.lists(_small | _json_values, max_size=4),
+    },
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_documents)
+def test_json_loaders_return_or_reject_any_document(data):
+    for load in (graph_from_json_dict, ParityLabeling.from_json_dict):
+        try:
+            load(data)
+        except InvalidInputError:
+            pass
 
 
 class TestSignature:

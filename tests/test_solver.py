@@ -436,7 +436,7 @@ class FakePool:
         self.size = size
         self.events.append(("create", size))
 
-    def starmap(self, fn, tasks, chunksize=None):
+    def starmap(self, fn, tasks, chunksize):
         return [fn(*task) for task in tasks]
 
     def terminate(self):
@@ -503,9 +503,9 @@ class TestParallelMap:
     @pytest.mark.skipif(solver._cpu_count() < 2, reason="a pool needs 2 CPUs")
     def test_same_size_calls_reuse_the_real_pool(self, fresh_pool):
         tasks = [()] * 8
-        first = set(solver._parallel_map(os.getpid, tasks, 2, chunksize=1))
+        first = set(solver._parallel_map(os.getpid, tasks, 2))
         pool = solver._pool
-        second = set(solver._parallel_map(os.getpid, tasks, 2, chunksize=1))
+        second = set(solver._parallel_map(os.getpid, tasks, 2))
         assert solver._pool is pool
         assert os.getpid() not in first | second
         assert first | second <= {p.pid for p in pool[1]._pool}

@@ -3,14 +3,7 @@ import json
 
 import pytest
 
-from equicut import (
-    InvalidInputError,
-    compute_sweep_row,
-    run_sweep,
-    solver,
-    sweep,
-    write_sweep_outputs,
-)
+from equicut import InvalidInputError, run_sweep, solver, sweep, write_sweep_outputs
 from equicut.sweep import CSV_COLUMNS, SweepRow
 
 
@@ -21,7 +14,7 @@ def read_rows(path):
 
 class TestComputeRow:
     def test_exact_row_for_proven_power(self):
-        row = compute_sweep_row(12, 2, "auto")
+        (row,) = run_sweep((12, 12), (2, 2))
         assert row.exact == 6
         assert row.construction == 6
         assert row.conjecture_match == "holds"
@@ -30,21 +23,13 @@ class TestComputeRow:
 
     def test_spanning_bound_lifts_lower_bound(self):
         # for d = 4 the third power's proven 12 beats edge connectivity 8
-        row = compute_sweep_row(13, 4, "auto")
+        (row,) = run_sweep((13, 13), (4, 4))
         assert row.lower_bound == 12
 
-    def test_rejects_local_search(self):
-        with pytest.raises(InvalidInputError, match="sweep method"):
-            compute_sweep_row(12, 3, "local_search")
-
     def test_branch_and_bound_row(self):
-        row = compute_sweep_row(12, 4, "branch_and_bound")
+        (row,) = run_sweep((12, 12), (4, 4), method="branch_and_bound")
         assert row.exact == 20
         assert row.conjecture_match == "holds"
-
-    def test_rejects_out_of_range_d(self):
-        with pytest.raises(InvalidInputError):
-            compute_sweep_row(10, 5, "auto")
 
 
 class TestLowerBoundOncePerRow:
@@ -66,7 +51,7 @@ class TestLowerBoundOncePerRow:
         assert flow_calls == [14]
 
     def test_branch_and_bound_row(self, flow_calls):
-        row = compute_sweep_row(12, 4, "branch_and_bound")
+        (row,) = run_sweep((12, 12), (4, 4), method="branch_and_bound")
         assert (row.method, row.lower_bound) == ("branch_and_bound", 12)
         assert flow_calls == [12]
 
@@ -83,7 +68,7 @@ class TestRunSweep:
         def no_row(*args):
             raise AssertionError("no row may be solved")
 
-        monkeypatch.setattr(sweep, "compute_sweep_row", no_row)
+        monkeypatch.setattr(sweep, "_sweep_row", no_row)
         with pytest.raises(InvalidInputError, match="sweep method"):
             run_sweep((10, 12), (2, 3), method="local_search")
 
@@ -129,6 +114,7 @@ class TestOutputs:
         sidecars = write_sweep_outputs([row], tmp_path / "sweep.csv")
         assert len(sidecars) == 1
         payload = json.loads(sidecars[0].read_text())
+        assert list(payload) == CSV_COLUMNS + ["certificate"]
         assert payload["certificate"] == [0, 1, 2, 3, 5, 8, 9]
         assert payload["exact"] == 18
 

@@ -1,8 +1,9 @@
 import tempfile
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from equicut import verify
+from equicut import solver, verify
 from equicut.sweep import SweepRow
 
 
@@ -58,3 +59,25 @@ def test_power_check_reads_its_want_from_known_rna(monkeypatch):
     result = verify.check_cube_powers(table)
     assert not result.passed
     assert result.failures[0] == "n=8 d=3: got 12, want 13"
+
+
+def test_square_check_is_charged_the_table_time(monkeypatch):
+    # In-process, with every other check stubbed: only the table rows take time.
+    monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
+    sleep_s = 0.01
+
+    def row(n):
+        time.sleep(sleep_s)
+        return {(n, d): SimpleNamespace(value=d * (d + 1)) for d in range(2, n // 2)}
+
+    def passed(*args):
+        return verify.CheckResult("stub", True, "", 0.0, [])
+
+    monkeypatch.setattr(verify, "_cycle_power_row", row)
+    for name in ("check_known_values", "check_formula_identities", "check_solver_agreement",
+                 "check_parity_machinery", "check_conjecture_sweep", "check_worker_determinism"):
+        monkeypatch.setattr(verify, name, passed)
+    results = verify.run_paper_suite()
+    square = results[1]
+    assert square.criterion == "2-square-powers" and square.passed
+    assert square.elapsed_ms >= 18 * sleep_s * 1000  # the rows for n = 5..22

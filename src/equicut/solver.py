@@ -15,7 +15,10 @@ for both views. Three methods are provided:
   are carried down the search, plus the edge connectivity of the subgraph
   induced on the unassigned suffix when both sides still take one of its
   vertices (computed once per solve for every suffix; the whole graph's
-  value is the lower bound, already computed);
+  value is the lower bound, already computed); a per-solve dominance table
+  skips a node when an earlier one at the same depth reached the same
+  frontier state at no higher cost (kept at depths where at most Δ
+  assigned vertices have unassigned neighbours, Δ the maximum degree);
 * local_search - seeded multi-restart best-improvement pair swaps; each
   move groups the outside vertices into gain-level masks, so picking the
   best swap costs O(n) popcounts; returns an upper bound, never below the
@@ -74,6 +77,8 @@ class SolverConfig:
             raise InvalidInputError("parallelism must be >= 1")
         if self.exhaustive_cap < 0:
             raise InvalidInputError("exhaustive_cap must be >= 0")
+        if self.initial_upper_bound is not None and self.initial_upper_bound < 0:
+            raise InvalidInputError("initial_upper_bound must be >= 0")
 
 
 @dataclass
@@ -365,6 +370,31 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     between side B and the unassigned vertices. Assigning t moves only the
     levels of later[t], its neighbours above t, until the branch returns.
 
+    A dominance table, kept for one solve, skips nodes whose completions an
+    earlier node has already tried. The frontier of depth t is the set of
+    vertices below t with a neighbour at t or above, and a node's key is
+    (t, ca, amask & frontier[t]), the state of the frontier DP for bisection
+    (Jansen, Karpinski, Lingas & Seidel, SIAM J. Comput. 35(1), 2005). The
+    key fixes cb = t - ca, tb, every unassigned vertex's level (so hist),
+    and inner[t], so two nodes with the same key have the same completions
+    at the same added cost. The table holds the least cur reached with each
+    key; a node is skipped, before its bound is computed, when its key
+    holds a value <= cur, and otherwise stores cur. This is admissible in
+    the sense above. The earlier node with the key sits at the same depth,
+    so its subtree was finished before this node starts, under limits no
+    lower than the current one. For every completion c, the leaf here costs
+    cur + f(c) >= cur' + f(c), the earlier node's leaf, which either became
+    an incumbent (so the limit is at most its cost) or was pruned at a limit
+    no lower than the current one. So the skipped subtree holds no leaf
+    below the limit.
+
+    Width rule: the table is kept only at depths whose frontier has at most
+    Δ vertices, the graph's own bandwidth in its vertex order (2d = Δ at
+    every depth of C_n^d in natural order). On graphs without such an
+    order, such as random graphs, the frontier is wider at most depths and
+    a table there only costs time. It is not kept either where the frontier
+    is the whole prefix 0..t-1, since such a key names a single node.
+
     The incumbent comes from cfg.initial_upper_bound when given (the caller
     promises it is a true upper bound, e.g. a known construction value),
     otherwise from a short local search, which is returned at once when it
@@ -391,9 +421,27 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     hist = [0] * (2 * max_deg + 1)
     hist[max_deg] = n
     later = [tuple(iter_bits(row >> (t + 1) << (t + 1))) for t, row in enumerate(adj)]
+    # frontier[t]: the vertices below t with a neighbour at t or above; -1
+    # where the dominance table is not kept (see the width rule above).
+    frontier = [0] * (n + 1)
+    for v, row in enumerate(adj):
+        for t in range(v + 1, row.bit_length()):
+            frontier[t] |= 1 << v
+    frontier = [
+        f if f.bit_count() <= max_deg and f != (1 << t) - 1 else -1 for t, f in enumerate(frontier)
+    ]
+    # The least cur reached so far with each key (t, ca, amask & frontier[t]).
+    seen = {}
 
     def dfs(t: int, amask: int, ca: int, cb: int, cur: int, tb: int) -> None:
         nonlocal limit, best
+        front = frontier[t]
+        if front >= 0:
+            key = (t, ca, amask & front)
+            prev = seen.get(key)
+            if prev is not None and prev <= cur:
+                return
+            seen[key] = cur
         # No unassigned vertex has more than cb neighbours on side B.
         lo = max_deg - cb if cb < max_deg else 0
         if cur + _completion_bound(hist, lo, tb, cap_b - cb, n - t, inner[t]) >= limit:

@@ -129,13 +129,31 @@ def completion_bound_scan(adj, inner, t, amask, bmask, slots_b):
     return total_b
 
 
-def branch_and_bound_scan(g, cfg, lam, suffix_term=True):
+def frontier_sets(n, edges):
+    """frontier[t] for t = 0..n: the vertices below t with a neighbour at t
+    or above."""
+    frontier = [set() for _ in range(n + 1)]
+    for u, v in edges:
+        for t in range(min(u, v) + 1, max(u, v) + 1):
+            frontier[t].add(min(u, v))
+    return frontier
+
+
+def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True):
     """Reference branch and bound that calls completion_bound_scan at every
     node. Returns (the (value, mask, upper bound used, exact) of
-    solver._branch_and_bound, the number of nodes visited).
+    solver._branch_and_bound, the number of nodes whose bound it computes).
 
     suffix_term=False drops the suffix edge-connectivity term, leaving the
-    greedy bound the search had before that term was added."""
+    greedy bound the search had before that term was added.
+
+    dominance=True keeps the solver's dominance table: a node whose depth t
+    has at most Δ frontier vertices is skipped, before its bound, when an
+    earlier node had the same t, the same side-A count and the same side-A
+    frontier vertices at no higher cost. Unlike the solver, the table is
+    also kept where the frontier is the whole prefix 0..t-1; such a key
+    names one node and never hits, so the node counts still agree.
+    dominance=False drops the table."""
     from dataclasses import replace
 
     from equicut.errors import InvalidInputError
@@ -156,10 +174,18 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True):
     pin_zero = _pin_zero(g)
     cap_a, cap_b = n // 2, n - n // 2
     inner = _suffix_connectivity(adj, lam) if suffix_term else [0] * (n + 1)
+    max_deg = max((row.bit_count() for row in adj), default=0)
+    frontier = [f if len(f) <= max_deg else None for f in frontier_sets(n, g.edges())]
+    seen = {}
     nodes = 0
 
     def dfs(t, amask, bmask, ca, cb, cur):
         nonlocal limit, best, nodes
+        if dominance and frontier[t] is not None:
+            key = (t, ca, frozenset(v for v in frontier[t] if amask >> v & 1))
+            if key in seen and seen[key] <= cur:
+                return
+            seen[key] = cur
         nodes += 1
         if cur + completion_bound_scan(adj, inner, t, amask, bmask, cap_b - cb) >= limit:
             return
@@ -191,6 +217,7 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True):
 def branch_and_bound_greedy(g, cfg, lam):
     """Reference branch and bound with the greedy completion bound only: the
     search as it stood before the suffix edge-connectivity term was added,
-    kept to show that the stronger bound changes no result. Returns the same
-    (value, mask, upper bound used, exact) as solver._branch_and_bound."""
-    return branch_and_bound_scan(g, cfg, lam, suffix_term=False)[0]
+    with no dominance table, kept to show that neither the stronger bound nor
+    the table changes a result. Returns the same (value, mask, upper bound
+    used, exact) as solver._branch_and_bound."""
+    return branch_and_bound_scan(g, cfg, lam, suffix_term=False, dominance=False)[0]

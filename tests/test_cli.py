@@ -157,6 +157,21 @@ class TestSolve:
         assert code == 0
         assert json.loads(out)["value"] == 2
 
+    def test_negative_upper_bound_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch):
+        from equicut import solver
+
+        def no_bound(*args):
+            raise AssertionError("no lower bound may be computed")
+
+        path = gen(capsys, tmp_path, "g.json", "--family", "cycle-power", "--n", "14", "--d", "2")
+        monkeypatch.setattr(solver, "rna_lower_bound", no_bound)
+        code, out, err = run_cli(
+            capsys, "solve", "--graph", str(path), "--method", "branch-and-bound",
+            "--upper-bound", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert "initial_upper_bound must be >= 0" in err
+
     def test_missing_file_exits_5(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "solve", "--graph", str(tmp_path / "nope.json"))
         assert code == 5

@@ -1,9 +1,11 @@
 """The branch-and-bound completion bound: its suffix edge-connectivity term,
 its equality with the bound recounted at every node, its admissibility, and
-the search results and node counts it must leave unchanged."""
+the search results and node counts it must leave unchanged; and the
+dominance table, which must leave the search results unchanged too."""
 
 import random
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from equicut import (
     edge_connectivity,
     graph_from_edges,
     known_rna,
+    make_circulant,
     make_complete,
     make_cycle_power,
     rna_branch_and_bound,
@@ -33,9 +36,9 @@ from oracles import (
 
 
 def assert_same_search(g, upper_bounds, exact_value=None):
-    """solver._branch_and_bound equals the greedy-bound oracle for each
-    initial_upper_bound (None: local-search incumbent), and every value is
-    exact_value when one is given."""
+    """solver._branch_and_bound equals the greedy-bound oracle, which keeps
+    no dominance table, for each initial_upper_bound (None: local-search
+    incumbent), and every value is exact_value when one is given."""
     lam = edge_connectivity(g)
     for upper in upper_bounds:
         cfg = SolverConfig(initial_upper_bound=upper)
@@ -142,6 +145,48 @@ class TestSameNodesAsScan:
         for g in graphs:
             assert not solver._pin_zero(g)
             assert_same_nodes(bound_calls, g, (None, rna_exhaustive(g).value))
+
+
+def assert_same_as_table_free(g, upper_bounds):
+    """For each initial_upper_bound (None: local-search incumbent),
+    solver._branch_and_bound returns the result of the search without its
+    dominance table. TestSameResultsAsGreedyBound checks the same on the
+    random corpus, complete graphs and odd graphs without rotation symmetry,
+    since the greedy-bound oracle keeps no table either."""
+    lam = edge_connectivity(g)
+    for upper in upper_bounds:
+        cfg = SolverConfig(initial_upper_bound=upper)
+        want = branch_and_bound_scan(g, cfg, lam, dominance=False)[0]
+        assert solver._branch_and_bound(g, cfg, lam) == want, (g, upper)
+
+
+class TestSameResultsWithoutTable:
+    def test_cycle_powers(self):
+        for n in range(20, 35):
+            for d in (4, 5):
+                assert_same_as_table_free(make_cycle_power(n, d), (None, d * (d + 1)))
+
+    def test_connected_circulants(self):
+        count = 0
+        for n in range(4, 14):
+            for size in range(1, n // 2 + 1):
+                for jumps in combinations(range(1, n // 2 + 1), size):
+                    if gcd(n, *jumps) == 1:
+                        g = make_circulant(n, jumps)
+                        assert_same_as_table_free(g, (None, rna_exhaustive(g).value))
+                        count += 1
+        assert count == 218
+
+    def test_table_skips_nodes(self, bound_calls):
+        # On C_n^d every frontier has at most 2d = Δ vertices and is a proper
+        # part of the prefix for t > 2d, so the table is kept at those depths.
+        g = make_cycle_power(31, 4)
+        cfg = SolverConfig(initial_upper_bound=20)
+        lam = edge_connectivity(g)
+        got = solver._branch_and_bound(g, cfg, lam)
+        want, nodes = branch_and_bound_scan(g, cfg, lam, dominance=False)
+        assert got == want
+        assert bound_calls[0] < nodes
 
 
 def test_search_depth_at_the_vertex_limit():

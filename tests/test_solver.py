@@ -351,6 +351,9 @@ class TestConfig:
         with pytest.raises(InvalidInputError, match="exhaustive_cap"):
             SolverConfig(exhaustive_cap=-1)
         assert SolverConfig(exhaustive_cap=0).exhaustive_cap == 0
+        with pytest.raises(InvalidInputError, match="initial_upper_bound"):
+            SolverConfig(initial_upper_bound=-1)
+        assert SolverConfig(initial_upper_bound=0).initial_upper_bound == 0
 
     def test_result_json_shape(self):
         result = rna_exhaustive(make_cycle(8))

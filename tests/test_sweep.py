@@ -3,8 +3,20 @@ import json
 
 import pytest
 
-from equicut import InvalidInputError, run_sweep, solver, sweep, write_sweep_outputs
+from equicut import (
+    InvalidInputError,
+    SolverConfig,
+    edge_connectivity,
+    make_cycle_power,
+    run_sweep,
+    solver,
+    sweep,
+    write_sweep_outputs,
+)
+from equicut.bitset import iter_bits
 from equicut.sweep import CSV_COLUMNS, SweepRow
+
+from oracles import branch_and_bound_scan
 
 
 def read_rows(path):
@@ -83,6 +95,18 @@ class TestRunSweep:
         assert [(r.n, r.d, r.exact, r.certificate) for r in seq] == [
             (r.n, r.d, r.exact, r.certificate) for r in par
         ]
+
+    def test_branch_and_bound_certificates_match_the_table_free_search(self):
+        # The CSV has no certificate column, so the rows themselves pin them.
+        rows = run_sweep((31, 36), (4, 5))
+        assert [(r.n, r.d) for r in rows] == [(n, d) for n in range(31, 37) for d in (4, 5)]
+        for row in rows:
+            g = make_cycle_power(row.n, row.d)
+            cfg = SolverConfig(initial_upper_bound=row.d * (row.d + 1))
+            value, mask, _, _ = branch_and_bound_scan(g, cfg, edge_connectivity(g), dominance=False)[0]
+            assert (row.method, row.exact, row.certificate) == (
+                "branch_and_bound", value, tuple(iter_bits(mask))
+            ), (row.n, row.d)
 
 
 class TestOutputs:

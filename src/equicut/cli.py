@@ -25,7 +25,7 @@ from .parity import (
     signature_from_labeling,
 )
 from .solver import METHODS, SolverConfig
-from .sweep import SWEEP_METHODS, run_sweep, write_sweep_outputs
+from .sweep import run_sweep, write_sweep_outputs
 from .verify import DEFAULT_SEED, run_formulas_suite, run_paper_suite, run_solvers_suite
 
 EXIT_OK = 0
@@ -107,6 +107,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    if args.upper_bound is not None and args.method != "branch-and-bound":
+        raise InvalidInputError("--upper-bound applies to --method branch-and-bound only")
     g = load_graph(args.graph)
     cfg = _solver_config(args)
     result = METHODS[args.method.replace("-", "_")](g, cfg)
@@ -135,13 +137,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     _require_parent_dir(args.out)
-    rows = run_sweep(
-        (args.n_min, args.n_max),
-        (args.d_min, args.d_max),
-        args.cap,
-        method=args.method.replace("-", "_"),
-        workers=args.workers,
-    )
+    rows = run_sweep((args.n_min, args.n_max), (args.d_min, args.d_max), workers=args.workers)
     sidecars = write_sweep_outputs(rows, args.out)
     fails = sum(1 for r in rows if r.conjecture_match == "fails")
     print(f"{len(rows)} rows -> {args.out} (holds={len(rows) - fails} fails={fails})", file=sys.stderr)
@@ -181,13 +177,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
 
 
-def _add_workers_and_cap(p: argparse.ArgumentParser) -> None:
+def _add_workers(p: argparse.ArgumentParser) -> None:
     # A string default goes through the type check too, so a bad
     # EQUICUT_WORKERS is rejected (exit 2) only when --workers is not given.
     p.add_argument("--workers", type=_worker_count, default=os.environ.get("EQUICUT_WORKERS", "1"),
                    help="worker processes (default: EQUICUT_WORKERS, else 1)")
-    p.add_argument("--cap", type=_cap, default=SolverConfig.exhaustive_cap,
-                   help="exhaustive enumeration cap on n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -212,9 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=SolverConfig.rng_seed,
                    help="RNG seed (local search restarts)")
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts, help="local-search restarts")
-    _add_workers_and_cap(p)
+    _add_workers(p)
+    p.add_argument("--cap", type=_cap, default=SolverConfig.exhaustive_cap,
+                   help="exhaustive enumeration cap on n")
     p.add_argument("--upper-bound", type=int, default=None, dest="upper_bound",
-                   help="trusted initial upper bound for branch-and-bound")
+                   help="trusted initial upper bound (branch-and-bound only; exit 2 with other methods)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("label", help="apply a parity labeling to a graph file")
@@ -227,9 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--d-min", type=int, required=True, dest="d_min")
     p.add_argument("--d-max", type=int, required=True, dest="d_max")
-    p.add_argument("--method", default="auto", choices=[_flag(m) for m in SWEEP_METHODS])
     p.add_argument("--out", required=True)
-    _add_workers_and_cap(p)
+    _add_workers(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -2,11 +2,11 @@
 
 For 2 <= d < floor(n/2) the consecutive-block construction cuts d(d+1)
 edges; for d in {2, 3} that is proven optimal, for d >= 4 it is conjectured.
-Every sweep method is exact (local search is a `solve` method only), so each
-row records the exact value next to the construction value and is classified
-holds / fails, never asserting the conjecture. A "fails" row (exact below
-d(d+1)) would be a genuine discovery, so its CSV fields and its certificate
-are preserved in a sidecar JSON.
+Every row runs branch and bound with the construction as its trusted upper
+bound, so each row records the exact value next to the construction value
+and is classified holds / fails, never asserting the conjecture. A "fails"
+row (exact below d(d+1)) would be a genuine discovery, so its CSV fields and
+its certificate are preserved in a sidecar JSON.
 
 run_sweep is the one entry: a single cell is run_sweep((n, n), (d, d)).
 """
@@ -21,7 +21,7 @@ from pathlib import Path
 from .errors import InvalidInputError
 from .formulas import block_cut_value, known_rna
 from .graphs import GraphFamilySpec, check_vertex_count, make_cycle_power
-from .solver import DEFAULT_ENUMERATION_CAP, METHODS, SolverConfig, _parallel_map
+from .solver import SolverConfig, _parallel_map, rna_branch_and_bound
 
 CSV_COLUMNS = [
     "family",
@@ -34,8 +34,6 @@ CSV_COLUMNS = [
     "conjecture_match",
     "elapsed_ms",
 ]
-
-SWEEP_METHODS = ("auto", "exhaustive", "branch_and_bound")
 
 
 @dataclass
@@ -58,15 +56,11 @@ def _spanning_known_bound(n: int, d: int) -> int:
     return known_rna(GraphFamilySpec("cycle_power", n, d=min(d - 1, 3)))
 
 
-def _sweep_row(n: int, d: int, method: str, cap: int) -> SweepRow:
-    """One grid cell; run_sweep has checked the method."""
+def _sweep_row(n: int, d: int) -> SweepRow:
+    """One grid cell."""
     construction = block_cut_value(n, d)  # rejects d outside 2 <= d < floor(n/2)
     g = make_cycle_power(n, d)
-
-    if method == "auto":
-        method = "exhaustive" if n <= cap else "branch_and_bound"
-    # Only branch and bound reads the construction as its trusted bound.
-    result = METHODS[method](g, SolverConfig(initial_upper_bound=construction, exhaustive_cap=cap))
+    result = rna_branch_and_bound(g, SolverConfig(initial_upper_bound=construction))
 
     # Every equicut of g contains one of each spanning lower power.
     lower = max(result.lower_bound_used, _spanning_known_bound(n, d))
@@ -97,18 +91,20 @@ def _sweep_row(n: int, d: int, method: str, cap: int) -> SweepRow:
 def run_sweep(
     n_range: tuple[int, int],
     d_range: tuple[int, int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    method: str = "auto",
+    *,
     workers: int = 1,
+    method: str = "auto",
 ) -> list[SweepRow]:
     """Solve every (n, d) in the ranges with 2 <= d < floor(n/2), sorted by (n, d).
 
     Each row runs one worker; `workers` spreads the rows over processes.
+    Every row is branch and bound, so `method` accepts only "auto"; it stays
+    because bench/worker.py and bench/make_refs.py pass it.
     """
-    if method not in SWEEP_METHODS:
-        raise InvalidInputError(f"sweep method must be one of {SWEEP_METHODS}")
+    if method != "auto":
+        raise InvalidInputError(f"sweep method must be 'auto', got {method!r}")
     grid = [
-        (n, d, method, cap)
+        (n, d)
         for n in range(n_range[0], n_range[1] + 1)
         for d in range(d_range[0], d_range[1] + 1)
         if 2 <= d < n // 2

@@ -278,9 +278,9 @@ def check_parity_machinery(pairs: int = 1000, seed: int = DEFAULT_SEED):
 @_check("8-conjecture-sweep")
 def check_conjecture_sweep(out_dir: str | Path | None = None, seed: int = DEFAULT_SEED):
     """The d=4 and d=5 sweep; without out_dir its files go to a temporary
-    directory that is removed when the check ends. Every sweep method is
-    exact and uses no randomness, so nothing reads `seed`; it stays for
-    callers that pass (out_dir, seed)."""
+    directory that is removed when the check ends. Every sweep row is
+    branch and bound and uses no randomness, so nothing reads `seed`; it
+    stays for callers that pass (out_dir, seed)."""
     failures = []
     rows = run_sweep((10, 18), (4, 5))  # the grid starts d = 5 at n = 12
     if out_dir is None:

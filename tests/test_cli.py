@@ -1,8 +1,10 @@
 import csv
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicut.cli import main
 from equicut.solver import METHODS, SolverConfig
@@ -172,6 +174,24 @@ class TestSolve:
         assert (code, out) == (2, "")
         assert "initial_upper_bound must be >= 0" in err
 
+    @pytest.mark.parametrize("method", ["exhaustive", "local-search"])
+    def test_upper_bound_with_other_methods_exits_2_before_any_work(
+        self, capsys, tmp_path, monkeypatch, method
+    ):
+        # Only branch and bound reads a trusted upper bound.
+        from equicut import solver
+
+        def no_bound(*args):
+            raise AssertionError("no lower bound may be computed")
+
+        path = gen(capsys, tmp_path, "g.json", "--family", "cycle-power", "--n", "12", "--d", "2")
+        monkeypatch.setattr(solver, "rna_lower_bound", no_bound)
+        code, out, err = run_cli(
+            capsys, "solve", "--graph", str(path), "--method", method, "--upper-bound", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "--upper-bound" in err
+
     def test_missing_file_exits_5(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "solve", "--graph", str(tmp_path / "nope.json"))
         assert code == 5
@@ -311,7 +331,7 @@ class TestSweep:
         "extra", [["--method", "local-search"], ["--seed", "3"], ["--restarts", "10"]]
     )
     def test_non_exact_and_seed_flags_are_rejected(self, capsys, tmp_path, monkeypatch, extra):
-        # Every sweep method is exact and none reads a seed or restarts.
+        # Every sweep row is branch and bound, which reads no seed or restarts.
         from equicut import cli
 
         def fake_sweep(*args, **kwargs):
@@ -329,7 +349,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("cap", ["-1", "-30", "ten"])
     def test_bad_cap_exits_2_before_any_row(self, capsys, tmp_path, monkeypatch, cap):
-        # A negative cap used to send every auto row to branch and bound.
+        # --cap is a solve flag; no sweep row enumerates.
         from equicut import cli
 
         def fake_sweep(*args, **kwargs):
@@ -357,7 +377,7 @@ class TestSweep:
         with pytest.raises(SystemExit) as exc:
             main([
                 "sweep", "--n-min", "12", "--n-max", "12", "--d-min", "3", "--d-max", "3",
-                "--method", "branch-and-bound", "--upper-bound", "1",
+                "--upper-bound", "1",
                 "--out", str(tmp_path / "x.csv"),
             ])
         assert exc.value.code == 2
@@ -379,6 +399,43 @@ class TestSweep:
         assert code == 2
         assert "vertex count 513 outside 1..512" in err
         assert not (tmp_path / "s.csv").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_bounds=st.tuples(st.integers(-3, 600), st.integers(-3, 600)),
+        d_bounds=st.tuples(st.integers(-3, 40), st.integers(-3, 40)),
+    )
+    def test_exit_code_and_cells_for_any_integer_bounds(self, n_bounds, d_bounds):
+        from equicut import sweep
+        from equicut.graphs import MAX_VERTICES
+
+        cells = []
+
+        def record(n, d):
+            cells.append((n, d))
+            c = d * (d + 1)
+            return sweep.SweepRow("cycle_power", n, d, 0, c, c, "branch_and_bound", "holds", 0)
+
+        want = [
+            (n, d)
+            for n in range(n_bounds[0], n_bounds[1] + 1)
+            for d in range(d_bounds[0], d_bounds[1] + 1)
+            if 2 <= d < n // 2
+        ]
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweep, "_sweep_row", record)
+            out = Path(tmp) / "s.csv"
+            code = main([
+                "sweep", "--n-min", str(n_bounds[0]), "--n-max", str(n_bounds[1]),
+                "--d-min", str(d_bounds[0]), "--d-max", str(d_bounds[1]),
+                "--workers", "1", "--out", str(out),
+            ])
+            assert code in (0, 2)
+            assert (code == 2) == any(n > MAX_VERTICES for n, _ in want)
+            if code == 2:
+                assert cells == [] and not out.exists()
+            else:
+                assert cells == want
 
     def test_missing_out_dir_exits_5_before_any_solve(self, capsys, tmp_path, monkeypatch):
         from equicut import cli
@@ -581,10 +638,12 @@ class TestDefaults:
         monkeypatch.delenv("EQUICUT_WORKERS", raising=False)
         args = build_parser().parse_args(argv)
         cfg = SolverConfig()
-        # Both commands share --cap and --workers; only solve builds a SolverConfig.
-        assert (args.cap, args.workers) == (cfg.exhaustive_cap, cfg.parallelism)
+        # Both commands share --workers; only solve takes --cap and builds a SolverConfig.
+        assert args.workers == cfg.parallelism
         if args.command == "solve":
             assert _solver_config(args) == cfg
+        else:
+            assert not hasattr(args, "cap") and not hasattr(args, "method")
 
     def test_verify_defaults(self):
         from equicut.cli import build_parser

@@ -8,6 +8,7 @@ from equicut import (
     SolverConfig,
     edge_connectivity,
     make_cycle_power,
+    rna_exhaustive,
     run_sweep,
     solver,
     sweep,
@@ -31,7 +32,7 @@ class TestComputeRow:
         assert row.construction == 6
         assert row.conjecture_match == "holds"
         assert row.lower_bound <= row.exact <= row.construction
-        assert row.method == "exhaustive"
+        assert row.method == "branch_and_bound"
 
     def test_spanning_bound_lifts_lower_bound(self):
         # for d = 4 the third power's proven 12 beats edge connectivity 8
@@ -39,7 +40,7 @@ class TestComputeRow:
         assert row.lower_bound == 12
 
     def test_branch_and_bound_row(self):
-        (row,) = run_sweep((12, 12), (4, 4), method="branch_and_bound")
+        (row,) = run_sweep((12, 12), (4, 4))
         assert row.exact == 20
         assert row.conjecture_match == "holds"
 
@@ -57,13 +58,8 @@ class TestLowerBoundOncePerRow:
         monkeypatch.setattr(solver, "edge_connectivity", counting)
         return calls
 
-    def test_exhaustive_row(self, flow_calls):
-        rows = run_sweep((14, 14), (4, 4))
-        assert [(r.method, r.lower_bound) for r in rows] == [("exhaustive", 12)]
-        assert flow_calls == [14]
-
     def test_branch_and_bound_row(self, flow_calls):
-        (row,) = run_sweep((12, 12), (4, 4), method="branch_and_bound")
+        (row,) = run_sweep((12, 12), (4, 4))
         assert (row.method, row.lower_bound) == ("branch_and_bound", 12)
         assert flow_calls == [12]
 
@@ -76,18 +72,24 @@ class TestRunSweep:
         assert all(2 <= d < n // 2 for n, d in keys)
         assert (8, 2) in keys and (12, 4) in keys and (8, 4) not in keys
 
-    def test_local_search_rejected_before_any_row(self, monkeypatch):
+    @pytest.mark.parametrize("method", ["local_search", "exhaustive", "branch_and_bound"])
+    def test_non_auto_method_rejected_before_any_row(self, monkeypatch, method):
         def no_row(*args):
             raise AssertionError("no row may be solved")
 
         monkeypatch.setattr(sweep, "_sweep_row", no_row)
         with pytest.raises(InvalidInputError, match="sweep method"):
-            run_sweep((10, 12), (2, 3), method="local_search")
+            run_sweep((10, 12), (2, 3), method=method)
 
     def test_every_row_is_exact(self):
-        rows = run_sweep((8, 16), (2, 5), cap=12)
-        assert all(type(r.exact) is int and r.conjecture_match == "holds" for r in rows)
-        assert {r.method for r in rows} == {"exhaustive", "branch_and_bound"}
+        # Every cell with 5 <= n <= 22: branch and bound from the d(d+1)
+        # bound finds exhaustive's value and lexicographically smallest minimizer.
+        rows = run_sweep((5, 22), (2, 10))
+        assert len(rows) == 81
+        for row in rows:
+            want = rna_exhaustive(make_cycle_power(row.n, row.d))
+            assert (row.method, row.conjecture_match) == ("branch_and_bound", "holds")
+            assert (row.exact, row.certificate) == (want.value, want.certificate.vertices), (row.n, row.d)
 
     def test_worker_pool_gives_identical_rows(self):
         seq = run_sweep((9, 13), (2, 3), workers=1)
@@ -130,7 +132,7 @@ class TestOutputs:
             lower_bound=12,
             construction=20,
             exact=18,
-            method="exhaustive",
+            method="branch_and_bound",
             conjecture_match="fails",
             elapsed_ms=1,
             certificate=(0, 1, 2, 3, 5, 8, 9),

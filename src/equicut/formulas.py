@@ -28,7 +28,7 @@ the point of this module is checking the formulas against direct counts.
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .graphs import GraphFamilySpec, circular_distance, make_cycle_power
+from .graphs import GraphFamilySpec, make_cycle_power
 
 
 def _check_block_range(n: int, d: int) -> int:
@@ -61,7 +61,9 @@ def boundary_count_direct(n: int, d: int, start: int, j: int) -> int:
 
     This is the independent check for boundary_count_closed_form: it never
     consults the case tables, only "which vertices outside the block are
-    within distance d of position start+j".
+    within distance d of position start+j". The loop visits only the n - b
+    vertices outside the block, and the distance along the n-cycle is
+    min(diff, n - diff) for diff the gap between the two labels.
     """
     b = _check_block_range(n, d)
     if not 0 <= start < n:
@@ -70,10 +72,9 @@ def boundary_count_direct(n: int, d: int, start: int, j: int) -> int:
         raise InvalidInputError(f"block offset {j} out of range 0..{b - 1}")
     v = (start + j) % n
     count = 0
-    for t in range(n):
-        if (t - start) % n < b:
-            continue
-        if 1 <= circular_distance(n, v, t) <= d:
+    for i in range(b, n):
+        diff = abs(v - (start + i) % n)
+        if 1 <= min(diff, n - diff) <= d:
             count += 1
     return count
 

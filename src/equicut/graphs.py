@@ -170,14 +170,6 @@ def make_circulant(n: int, jumps: Iterable[int]) -> Graph:
     return Graph(n, rows)
 
 
-def circular_distance(n: int, i: int, j: int) -> int:
-    """Distance between u_i and u_j along the n-cycle; never exceeds floor(n/2)."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidInputError(f"vertices ({i}, {j}) out of range for n={n}")
-    diff = abs(i - j)
-    return min(diff, n - diff)
-
-
 def is_rotation_symmetric(g: Graph) -> bool:
     """True when adjacency is invariant under the rotation v -> v + 1 (mod n)."""
     row0 = g.adj[0]

@@ -14,11 +14,15 @@ for both views. Three methods are provided:
   assigned vertices, read from each unassigned vertex's side counts as they
   are carried down the search, plus the edge connectivity of the subgraph
   induced on the unassigned suffix when both sides still take one of its
-  vertices (computed once per solve for every suffix; the whole graph's
-  value is the lower bound, already computed); a per-solve dominance table
+  vertices (computed once per pass for every suffix; the whole graph's
+  value is the lower bound, already computed); a per-pass dominance table
   skips a node when an earlier one at the same depth reached the same
   frontier state at no higher cost (kept at depths where at most Δ
-  assigned vertices have unassigned neighbours, Δ the maximum degree);
+  assigned vertices have unassigned neighbours, Δ the maximum degree). It
+  searches in non-increasing degree order; on a graph that is not regular,
+  a natural-order pass that stops at its first leaf within the optimum
+  then gives the certificate a single natural-order search returns (see
+  _branch_and_bound);
 * local_search - seeded multi-restart best-improvement pair swaps; each
   move groups the outside vertices into gain-level masks, so picking the
   best swap costs O(n) popcounts; returns an upper bound, never below the
@@ -346,11 +350,82 @@ def rna_branch_and_bound(g: Graph, cfg: SolverConfig | None = None) -> SolveResu
 def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, int, bool]:
     """(value, mask, upper bound used, exact) by depth-first side assignment.
 
+    The incumbent comes from cfg.initial_upper_bound when given (the caller
+    promises it is a true upper bound, e.g. a known construction value),
+    otherwise from a short local search, which is returned at once when it
+    meets the lower bound lam, the edge connectivity of g. Search runs
+    single-threaded so results do not depend on cfg.parallelism.
+
+    The search pass (see _search) takes the vertices in non-increasing
+    degree order, ties in label order, so the fixed crossing edges build up
+    early and the completion bound prunes sooner. On a regular graph (every
+    C_n^d and circulant) that order is the identity and the search pass is
+    the only pass. Otherwise, when it finds a value v below the incumbent,
+    a certificate pass runs the same search in natural order 0..n-1 with
+    limit v + 1 and stops at its first leaf, so the certificate is the one
+    a single natural-order search returns. That search returns the first
+    optimal leaf in its DFS order, whose branch order depends only on the
+    node: until that leaf is reached the limit exceeds v, and neither the
+    admissible bound nor a dominance skip removes a subtree holding a leaf
+    below the limit, so no ancestor of the leaf is cut; once it is taken
+    the limit is v and no cheaper leaf exists. The certificate pass reaches
+    that same leaf first for the same reason, and the search pass has
+    proved that its cost v is the optimum. When the search pass finds
+    nothing, the local-search incumbent is optimal and is returned.
+    """
+    n = g.n
+    if cfg.initial_upper_bound is not None:
+        upper = cfg.initial_upper_bound
+        best = None
+        limit = upper + 1
+    else:
+        best = _local_search_best(g, replace(cfg, restarts=min(cfg.restarts, 12), parallelism=1))
+        upper = limit = best[0]
+        if upper <= lam:
+            return (*best, upper, True)
+
+    adj = g.adj
+    order = sorted(range(n), key=lambda v: -adj[v].bit_count())
+    if order == list(range(n)):
+        found = _search(adj, _pin_zero(g), lam, limit, False)
+    else:
+        pos = [0] * n
+        for i, v in enumerate(order):
+            pos[v] = i
+        rows = [sum(1 << pos[u] for u in iter_bits(adj[v])) for v in order]
+        # A graph that is not regular has no rotation symmetry, so _pin_zero
+        # of the relabelled graph holds exactly for even n.
+        found = _search(rows, n % 2 == 0, lam, limit, False)
+        if found is not None:
+            found = _search(adj, _pin_zero(g), lam, found[0] + 1, True)
+    if found is not None:
+        best = found
+    elif best is None:
+        raise InvalidInputError(
+            "initial_upper_bound is below the true optimum; no equicut found within it"
+        )
+    return (*best, upper, True)
+
+
+class _FirstLeaf(Exception):
+    """Raised by _search at its first leaf when asked to stop there."""
+
+
+def _search(
+    adj: Sequence[int], pin_zero: bool, lam: int, limit: int, first_leaf: bool
+) -> tuple[int, int] | None:
+    """The cheapest (cost, amask) below limit over the equicuts of the graph
+    with adjacency rows adj, or None when there is none; with first_leaf,
+    the first leaf below limit in DFS order instead. lam is the graph's edge
+    connectivity and pin_zero whether vertex 0 may be fixed on side A (see
+    _pin_zero).
+
     Vertices 0..n-1 are assigned in order to side A (capacity floor(n/2)) or
-    side B (capacity ceil(n/2)). A branch is pruned when the crossing edges
-    already fixed plus an admissible completion bound cannot beat the
-    incumbent. The completion bound has two terms, bounding two disjoint
-    edge sets, so their sum is admissible too:
+    side B (capacity ceil(n/2)), the cheaper side first, ties to A. A branch
+    is pruned when the crossing edges already fixed plus an admissible
+    completion bound cannot beat the limit, which drops to each leaf's cost
+    as it is found. The completion bound has two terms, bounding two
+    disjoint edge sets, so their sum is admissible too:
 
     * edges from unassigned to assigned vertices: every unassigned vertex
       charges its edges into the opposite assigned side, and the cheapest
@@ -370,7 +445,7 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     between side B and the unassigned vertices. Assigning t moves only the
     levels of later[t], its neighbours above t, until the branch returns.
 
-    A dominance table, kept for one solve, skips nodes whose completions an
+    A dominance table, kept for one pass, skips nodes whose completions an
     earlier node has already tried. The frontier of depth t is the set of
     vertices below t with a neighbour at t or above, and a node's key is
     (t, ca, amask & frontier[t]), the state of the frontier DP for bisection
@@ -394,26 +469,9 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     order, such as random graphs, the frontier is wider at most depths and
     a table there only costs time. It is not kept either where the frontier
     is the whole prefix 0..t-1, since such a key names a single node.
-
-    The incumbent comes from cfg.initial_upper_bound when given (the caller
-    promises it is a true upper bound, e.g. a known construction value),
-    otherwise from a short local search, which is returned at once when it
-    meets the lower bound lam, the edge connectivity of g. Search runs
-    single-threaded so results do not depend on cfg.parallelism.
     """
-    n = g.n
-    if cfg.initial_upper_bound is not None:
-        upper = cfg.initial_upper_bound
-        best = None
-        limit = upper + 1
-    else:
-        best = _local_search_best(g, replace(cfg, restarts=min(cfg.restarts, 12), parallelism=1))
-        upper = limit = best[0]
-        if upper <= lam:
-            return (*best, upper, True)
-
-    adj = g.adj
-    pin_zero = _pin_zero(g)
+    n = len(adj)
+    best = None
     cap_a, cap_b = n // 2, n - n // 2
     inner = _suffix_connectivity(adj, lam)
     max_deg = max((row.bit_count() for row in adj), default=0)
@@ -449,6 +507,8 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
         if t == n:
             limit = cur
             best = (cur, amask)
+            if first_leaf:
+                raise _FirstLeaf
             return
         lt = level[t]
         hist[lt] -= 1
@@ -479,13 +539,11 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
                 level[u] = lu - step
         hist[lt] += 1
 
-    dfs(0, 0, 0, 0, 0, 0)
-
-    if best is None:
-        raise InvalidInputError(
-            "initial_upper_bound is below the true optimum; no equicut found within it"
-        )
-    return (*best, upper, True)
+    try:
+        dfs(0, 0, 0, 0, 0, 0)
+    except _FirstLeaf:
+        pass
+    return best
 
 
 def _completion_bound(hist: list[int], lo: int, tb: int, slots_b: int, free: int, inner_t: int) -> int:

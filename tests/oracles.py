@@ -139,7 +139,16 @@ def frontier_sets(n, edges):
     return frontier
 
 
-def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True):
+def degree_order(n, edges):
+    """The vertices by non-increasing degree, ties in label order."""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return sorted(range(n), key=lambda v: (-degree[v], v))
+
+
+def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True, in_degree_order=True):
     """Reference branch and bound that calls completion_bound_scan at every
     node. Returns (the (value, mask, upper bound used, exact) of
     solver._branch_and_bound, the number of nodes whose bound it computes).
@@ -153,9 +162,17 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True):
     frontier vertices at no higher cost. Unlike the solver, the table is
     also kept where the frontier is the whole prefix 0..t-1; such a key
     names one node and never hits, so the node counts still agree.
-    dominance=False drops the table."""
+    dominance=False drops the table.
+
+    in_degree_order=True searches the graph relabelled in degree_order
+    first, pinning its vertex 0 by _pin_zero of the relabelled graph; when
+    that order is not the identity and the search finds a value v, a natural
+    order search with limit v + 1 that stops at its first leaf gives the
+    certificate, and the node count covers both searches.
+    in_degree_order=False searches once, in natural order."""
     from dataclasses import replace
 
+    from equicut import graph_from_edges
     from equicut.errors import InvalidInputError
     from equicut.solver import _local_search_best, _pin_zero, _suffix_connectivity
 
@@ -170,44 +187,64 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True):
         if upper <= lam:
             return (*best, upper, True), 0
 
-    adj = g.adj
-    pin_zero = _pin_zero(g)
     cap_a, cap_b = n // 2, n - n // 2
-    inner = _suffix_connectivity(adj, lam) if suffix_term else [0] * (n + 1)
-    max_deg = max((row.bit_count() for row in adj), default=0)
-    frontier = [f if len(f) <= max_deg else None for f in frontier_sets(n, g.edges())]
-    seen = {}
     nodes = 0
 
-    def dfs(t, amask, bmask, ca, cb, cur):
-        nonlocal limit, best, nodes
-        if dominance and frontier[t] is not None:
-            key = (t, ca, frozenset(v for v in frontier[t] if amask >> v & 1))
-            if key in seen and seen[key] <= cur:
+    def search(h, limit, first_leaf):
+        """(cost, mask) of the cheapest leaf of graph h below limit, or of
+        the first one with first_leaf; None when there is none."""
+        nonlocal nodes
+        adj = h.adj
+        pin_zero = _pin_zero(h)
+        inner = _suffix_connectivity(adj, lam) if suffix_term else [0] * (n + 1)
+        max_deg = max((row.bit_count() for row in adj), default=0)
+        frontier = [f if len(f) <= max_deg else None for f in frontier_sets(n, h.edges())]
+        seen = {}
+        found = []
+
+        def dfs(t, amask, bmask, ca, cb, cur):
+            nonlocal limit, nodes
+            if first_leaf and found:
                 return
-            seen[key] = cur
-        nodes += 1
-        if cur + completion_bound_scan(adj, inner, t, amask, bmask, cap_b - cb) >= limit:
-            return
-        if t == n:
-            limit = cur
-            best = (cur, amask)
-            return
-        # (cost, side) with side A = 0, so ties try A first.
-        branches = []
-        if ca < cap_a:
-            branches.append(((adj[t] & bmask).bit_count(), 0))
-        if cb < cap_b and not (t == 0 and pin_zero):
-            branches.append(((adj[t] & amask).bit_count(), 1))
-        for cost, side in sorted(branches):
-            if side == 0:
-                dfs(t + 1, amask | (1 << t), bmask, ca + 1, cb, cur + cost)
-            else:
-                dfs(t + 1, amask, bmask | (1 << t), ca, cb + 1, cur + cost)
+            if dominance and frontier[t] is not None:
+                key = (t, ca, frozenset(v for v in frontier[t] if amask >> v & 1))
+                if key in seen and seen[key] <= cur:
+                    return
+                seen[key] = cur
+            nodes += 1
+            if cur + completion_bound_scan(adj, inner, t, amask, bmask, cap_b - cb) >= limit:
+                return
+            if t == n:
+                limit = cur
+                found.append((cur, amask))
+                return
+            # (cost, side) with side A = 0, so ties try A first.
+            branches = []
+            if ca < cap_a:
+                branches.append(((adj[t] & bmask).bit_count(), 0))
+            if cb < cap_b and not (t == 0 and pin_zero):
+                branches.append(((adj[t] & amask).bit_count(), 1))
+            for cost, side in sorted(branches):
+                if side == 0:
+                    dfs(t + 1, amask | (1 << t), bmask, ca + 1, cb, cur + cost)
+                else:
+                    dfs(t + 1, amask, bmask | (1 << t), ca, cb + 1, cur + cost)
 
-    dfs(0, 0, 0, 0, 0, 0)
+        dfs(0, 0, 0, 0, 0, 0)
+        return found[-1] if found else None
 
-    if best is None:
+    order = degree_order(n, g.edges()) if in_degree_order else list(range(n))
+    if order == list(range(n)):
+        found = search(g, limit, False)
+    else:
+        pos = {v: i for i, v in enumerate(order)}
+        relabelled = graph_from_edges(n, [(pos[u], pos[v]) for u, v in g.edges()])
+        found = search(relabelled, limit, False)
+        if found is not None:
+            found = search(g, found[0] + 1, True)
+    if found is not None:
+        best = found
+    elif best is None:
         raise InvalidInputError(
             "initial_upper_bound is below the true optimum; no equicut found within it"
         )
@@ -218,6 +255,10 @@ def branch_and_bound_greedy(g, cfg, lam):
     """Reference branch and bound with the greedy completion bound only: the
     search as it stood before the suffix edge-connectivity term was added,
     with no dominance table, kept to show that neither the stronger bound nor
-    the table changes a result. Returns the same (value, mask, upper bound
-    used, exact) as solver._branch_and_bound."""
-    return branch_and_bound_scan(g, cfg, lam, suffix_term=False, dominance=False)[0]
+    the table changes a result. It searches once, in natural order, so it
+    also shows that the degree-order search leaves every result unchanged.
+    Returns the same (value, mask, upper bound used, exact) as
+    solver._branch_and_bound."""
+    return branch_and_bound_scan(
+        g, cfg, lam, suffix_term=False, dominance=False, in_degree_order=False
+    )[0]

@@ -1,8 +1,10 @@
 """The branch-and-bound completion bound: its suffix edge-connectivity term,
 its equality with the bound recounted at every node, its admissibility, and
-the search results and node counts it must leave unchanged; and the
-dominance table, which must leave the search results unchanged too."""
+the search results and node counts it must leave unchanged; the dominance
+table and the degree-order search with its certificate pass, which must
+leave the search results unchanged too."""
 
+import json
 import random
 from itertools import combinations
 from math import gcd
@@ -24,6 +26,8 @@ from equicut import (
     rna_exhaustive,
     solver,
 )
+from equicut.bitset import iter_bits
+from equicut.cli import main
 from equicut.graphs import is_rotation_symmetric
 from equicut.verify import random_connected_graph
 
@@ -187,6 +191,84 @@ class TestSameResultsWithoutTable:
         want, nodes = branch_and_bound_scan(g, cfg, lam, dominance=False)
         assert got == want
         assert bound_calls[0] < nodes
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The first_leaf flag of every solver._search call, in call order: one
+    False per search pass, one True per certificate pass."""
+    search = solver._search
+    flags = []
+
+    def recording(adj, pin_zero, lam, limit, first_leaf):
+        flags.append(first_leaf)
+        return search(adj, pin_zero, lam, limit, first_leaf)
+
+    monkeypatch.setattr(solver, "_search", recording)
+    return flags
+
+
+class TestDegreeOrder:
+    def test_certificate_pass_gives_the_natural_order_result(self, passes):
+        # One local-search restart misses the optimum on several of these
+        # graphs, so the degree-order search finds a cheaper value and the
+        # certificate pass runs; the result must still be the one the single
+        # natural-order search returns.
+        rng = random.Random(4)
+        cfg = SolverConfig(restarts=1)
+        certified = 0
+        for n in range(8, 23):
+            g = random_connected_graph(rng, n, 0.25)
+            lam = edge_connectivity(g)
+            passes.clear()
+            got = solver._branch_and_bound(g, cfg, lam)
+            assert got == branch_and_bound_greedy(g, cfg, lam), g
+            assert got[0] == rna_exhaustive(g).value, g
+            certified += passes == [False, True]
+        assert certified >= 5
+
+    def test_trusted_bound_on_a_non_regular_graph(self, capsys, tmp_path, passes):
+        rng = random.Random(5)
+        g = random_connected_graph(rng, 16, 0.25)
+        assert len({row.bit_count() for row in g.adj}) > 1
+        optimum = rna_exhaustive(g).value
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"n": g.n, "edges": g.edges()}))
+        solve = ["solve", "--graph", str(path), "--method", "branch-and-bound"]
+
+        assert main([*solve, "--upper-bound", str(optimum - 1)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: initial_upper_bound is below the true optimum; no equicut found within it\n"
+        )
+        assert passes == [False]
+
+        passes.clear()
+        assert main([*solve, "--upper-bound", str(optimum)]) == 0
+        result = json.loads(capsys.readouterr().out)
+        cfg = SolverConfig(initial_upper_bound=optimum)
+        want = branch_and_bound_greedy(g, cfg, edge_connectivity(g))
+        assert (result["value"], result["certificate"]) == (optimum, list(iter_bits(want[1])))
+        assert passes == [False, True]
+
+    def test_regular_graphs_run_one_pass(self, passes):
+        petersen = graph_from_edges(
+            10,
+            [(i, (i + 1) % 5) for i in range(5)]
+            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+            + [(i, i + 5) for i in range(5)],
+        )
+        assert not is_rotation_symmetric(petersen)
+        graphs = [petersen, make_cycle_power(26, 3), make_circulant(21, (2, 5)), make_complete(9)]
+        for g in graphs:
+            exact = rna_exhaustive(g).value
+            for upper in (None, exact, exact + 2):
+                passes.clear()
+                got = rna_branch_and_bound(g, SolverConfig(initial_upper_bound=upper, restarts=1))
+                assert got.value == exact
+                # Local search may meet λ and settle the graph with no pass.
+                assert passes == [False] or (upper is None and passes == []), (g, upper)
 
 
 def test_search_depth_at_the_vertex_limit():

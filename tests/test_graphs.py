@@ -8,7 +8,6 @@ from equicut import (
     DisconnectedGraphError,
     GraphFamilySpec,
     InvalidInputError,
-    circular_distance,
     graph_from_edges,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -37,7 +36,8 @@ class TestCycle:
     def test_antipodal_distance(self):
         g = make_cycle(10)
         assert g.m == 10
-        assert circular_distance(10, 0, 5) == 5
+        # 5 is the one vertex at distance 5 from 0: C_10^4 joins 0 to all others.
+        assert make_cycle_power(10, 4).adj[0] == g.full_mask & ~0b100001
 
     def test_too_small(self):
         with pytest.raises(InvalidInputError):
@@ -124,23 +124,6 @@ class TestComplete:
     def test_single_vertex(self):
         g = make_complete(1)
         assert g.m == 0
-
-
-class TestCircularDistance:
-    def test_wraparound(self):
-        assert circular_distance(10, 1, 9) == 2
-        assert circular_distance(7, 0, 3) == 3
-        assert circular_distance(6, 0, 3) == 3
-
-    def test_bounded_by_half(self):
-        for n in (5, 8, 13):
-            for i in range(n):
-                for j in range(n):
-                    assert circular_distance(n, i, j) <= n // 2
-
-    def test_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            circular_distance(5, 0, 5)
 
 
 class TestLoader:

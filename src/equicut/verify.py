@@ -336,23 +336,25 @@ def run_paper_suite(seed: int = DEFAULT_SEED, out_dir: str | Path | None = None)
 
     Checks 1 and 5-8 and the table rows, one per n, are independent jobs on
     at most _GATE_WORKERS processes. They are sent one at a time, longest
-    first (rows 22 and 21, then checks 5-7), so no process is left with
-    the big rows. Each check times itself where it runs; check 2 is charged
-    the summed row times.
+    first as measured alone on a 2-vCPU host (checks 5-7 at 120-170 ms
+    each, then rows 22 down to 5 at 30 ms and less, then checks 8 and 1 at
+    15 ms and less), so no process is left with a long job at the end. Each
+    check times itself where it runs; check 2 is charged the summed row
+    times.
     """
-    rows = [(_cycle_power_row, n) for n in range(22, 4, -1)]
-    checks = [
+    longest = [
         (check_formula_identities, 60),
         (check_solver_agreement, seed),
         (check_parity_machinery, 1000, seed),
-        (check_known_values,),
-        (check_conjecture_sweep, out_dir, seed),
     ]
-    outs = _parallel_map(_timed_call, rows[:2] + checks + rows[2:], _GATE_WORKERS)
-    (formulas, _), (agreement, _), (parity, _), (known, _), (sweep, _) = outs[2:7]
+    rows = [(_cycle_power_row, n) for n in range(22, 4, -1)]
+    shortest = [(check_conjecture_sweep, out_dir, seed), (check_known_values,)]
+    outs = _parallel_map(_timed_call, longest + rows + shortest, _GATE_WORKERS)
+    (formulas, _), (agreement, _), (parity, _) = outs[:3]
+    (sweep, _), (known, _) = outs[-2:]
     table: dict[tuple[int, int], SolveResult] = {}
     table_s = 0.0
-    for part, seconds in outs[:2] + outs[7:]:
+    for part, seconds in outs[3:-2]:
         table.update(part)
         table_s += seconds
     square = check_square_powers(table)

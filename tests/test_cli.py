@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equicut.cli import main
 from equicut.solver import METHODS, SolverConfig
@@ -14,6 +17,18 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_main(*argv):
+    """(exit code, stdout, stderr) of one CLI call, argparse exits included;
+    for hypothesis tests, which cannot take the function-scoped capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def gen(capsys, tmp_path, name, *argv):
@@ -80,6 +95,54 @@ class TestGen:
         )
         assert code == 5
         assert "i/o" in err
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        family=st.sampled_from(["cycle", "cycle-power", "circulant", "complete"]),
+        n=st.one_of(st.integers(-3, 40), st.sampled_from([511, 512, 513])),
+        d=st.one_of(st.none(), st.integers(-2, 25)),
+        jumps=st.lists(st.integers(-2, 22), max_size=3),
+    )
+    @example(family="circulant", n=8, d=None, jumps=[1, 4])
+    @example(family="circulant", n=8, d=None, jumps=[1, 5])
+    @example(family="circulant", n=8, d=None, jumps=[2, 4])
+    @example(family="cycle-power", n=3, d=0, jumps=[])
+    @example(family="complete", n=1, d=None, jumps=[])
+    def test_exit_code_for_any_family_parameters(self, family, n, d, jumps):
+        argv = ["gen", "--family", family, "--n", str(n)]
+        if d is not None:
+            argv += ["--d", str(d)]
+        if jumps:
+            argv.append("--jumps=" + ",".join(map(str, jumps)))
+        # The documented ranges, restated: every family needs 1 <= n <= 512,
+        # a cycle-shaped one n >= 3, a cycle power d >= 1, and a circulant
+        # strictly increasing jumps in 1..n/2 that generate Z_n.
+        ok = 1 <= n <= 512
+        if family == "cycle":
+            ok = ok and n >= 3
+        elif family == "cycle-power":
+            ok = ok and n >= 3 and d is not None and d >= 1
+        elif family == "circulant":
+            ok = ok and n >= 3 and bool(jumps) and 0 < jumps[0]
+            ok = ok and all(a < b for a, b in zip(jumps, jumps[1:])) and 2 * max(jumps) <= n
+            ok = ok and math.gcd(n, *jumps) == 1
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "g.json"
+            code, stdout, err = run_main(*argv, "--out", str(out))
+            assert code == (0 if ok else 2), err
+            assert stdout == ""
+            assert out.exists() == ok
+            if ok:
+                assert json.loads(out.read_text())["n"] == n
+            else:
+                assert "error" in err
+
+
+@pytest.fixture(scope="module")
+def c10_square(tmp_path_factory):
+    path = tmp_path_factory.mktemp("solve") / "c10-2.json"
+    assert main(["gen", "--family", "cycle-power", "--n", "10", "--d", "2", "--out", str(path)]) == 0
+    return path
 
 
 class TestSolve:
@@ -235,6 +298,53 @@ class TestSolve:
         assert code == 2
         assert out == ""
         assert "error" in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(list(METHODS)),
+        cap=st.integers(-3, 14),
+        restarts=st.integers(-2, 4),
+        upper_bound=st.one_of(st.none(), st.integers(-3, 9)),
+    )
+    @example(method="exhaustive", cap=9, restarts=1, upper_bound=None)
+    @example(method="exhaustive", cap=10, restarts=1, upper_bound=None)
+    @example(method="branch_and_bound", cap=0, restarts=1, upper_bound=5)
+    @example(method="branch_and_bound", cap=0, restarts=1, upper_bound=6)
+    def test_exit_code_for_any_cap_restarts_and_upper_bound(
+        self, c10_square, method, cap, restarts, upper_bound
+    ):
+        from equicut import solver
+
+        method = method.replace("_", "-")
+        argv = ["solve", "--graph", str(c10_square), "--method", method, "--workers", "1",
+                "--cap", str(cap), "--restarts", str(restarts)]
+        if upper_bound is not None:
+            argv += ["--upper-bound", str(upper_bound)]
+        # C_10^2 has minimum equicut 6 and 10 vertices.
+        flags_ok = cap >= 0 and restarts >= 1 and (
+            upper_bound is None or (method == "branch-and-bound" and upper_bound >= 0)
+        )
+        if not flags_ok:
+            want = 2
+        elif method == "exhaustive" and cap < 10:
+            want = 3
+        elif upper_bound is not None and upper_bound < 6:
+            want = 2  # the trusted bound is below the optimum
+        else:
+            want = 0
+        bounds = []
+        with pytest.MonkeyPatch.context() as mp:
+            # 4 is the edge connectivity of C_10^2, so every solver runs as usual.
+            mp.setattr(solver, "rna_lower_bound", lambda g: bounds.append(g) or 4)
+            code, out, err = run_main(*argv)
+        assert code == want, err
+        if want == 0:
+            value = json.loads(out)["value"]
+            assert value == 6 or (method == "local-search" and value > 6)
+        else:
+            assert out == "" and "error" in err
+        # A bad flag or the cap is refused before the lower bound is computed.
+        assert bool(bounds) == (flags_ok and want != 3)
 
 
 class TestLabel:
@@ -541,6 +651,45 @@ class TestVerify:
         assert out == ""
         assert "error" in err and "n-max" in err.replace("_", "-")
         assert not out_dir.exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(suite=st.sampled_from(["paper", "formulas", "solvers"]), n_max=st.integers(-10, 600))
+    @example(suite="formulas", n_max=5)
+    @example(suite="formulas", n_max=6)
+    @example(suite="formulas", n_max=512)
+    @example(suite="formulas", n_max=513)
+    @example(suite="solvers", n_max=4)
+    @example(suite="solvers", n_max=5)
+    @example(suite="solvers", n_max=30)
+    @example(suite="solvers", n_max=31)
+    def test_exit_code_for_any_n_max(self, suite, n_max):
+        from equicut import cli, verify
+        from equicut.verify import CheckResult
+
+        calls = []
+
+        def record(name):
+            def check(*args, **kwargs):
+                calls.append((name, args[-1] if args else None))
+                return CheckResult(name, True, "recorded", 0.0, [])
+
+            return check
+
+        # formulas: C_6^2 first; solvers: its random circulants start at n = 5
+        # and its cycle powers stay within the exhaustive cap of 30.
+        ranges = {"paper": range(0), "formulas": range(6, 513), "solvers": range(5, 31)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "check_formula_identities", record("formulas"))
+            mp.setattr(verify, "check_solver_agreement", record("solvers"))
+            mp.setattr(cli, "run_paper_suite", record("paper"))
+            code, out, err = run_main("verify", "--suite", suite, "--n-max", str(n_max))
+        if n_max in ranges[suite]:
+            assert code == 0
+            assert calls == [(suite, n_max)]
+        else:
+            assert code == 2
+            assert out == "" and "n-max" in err.replace("_", "-")
+            assert calls == []
 
     def test_seed_and_out_dir_accepted_by_formulas_suite(self, capsys, tmp_path):
         code, out, _ = run_cli(

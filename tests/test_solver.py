@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -93,7 +94,7 @@ class TestExhaustive:
         with pytest.raises(EnumerationCapError):
             rna_exhaustive(g, SolverConfig(exhaustive_cap=10))
         assert rna_exhaustive(g, SolverConfig(exhaustive_cap=12)).value == 2
-        # walk steps are single bytes, whatever cap is asked for
+        # no enumeration of n > 256 could finish, whatever cap is asked for
         with pytest.raises(EnumerationCapError, match="n <= 256"):
             rna_exhaustive(make_cycle(257), SolverConfig(exhaustive_cap=1000))
 
@@ -109,16 +110,43 @@ class TestExhaustive:
                 other = rna_exhaustive(g, SolverConfig(parallelism=workers))
                 assert (other.value, other.certificate) == (base.value, base.certificate)
 
-    def test_worker_count_invisible_across_walk_chunks(self):
+    def test_worker_count_invisible_across_plane_splits(self):
         # Odd and not rotation-symmetric, so nothing is pinned: the blocks
-        # with smallest member 0 and 1 each walk several cached chunks, and
-        # with two workers they run in a pool.
+        # with smallest member 0 and 1 hold more than _BLOCK_SUBSETS subsets
+        # and split inside their tasks, and with two workers they run in a pool.
         g = random_connected_graph(random.Random(2121), 21)
         assert not is_rotation_symmetric(g)
+        assert math.comb(20, 9) > solver._BLOCK_SUBSETS
         base = rna_exhaustive(g, SolverConfig(parallelism=1))
         split = rna_exhaustive(g, SolverConfig(parallelism=2))
         assert (split.value, split.certificate) == (base.value, base.certificate)
         assert equicut_size(g, base.certificate) == base.value
+
+    @pytest.mark.parametrize("n", range(13))
+    def test_planes_follow_combinations_order(self, n):
+        for k in range(n + 1):
+            subsets = list(combinations(range(n), k))
+            planes = solver._planes(n, k)
+            assert len(planes) == n
+            for v, plane in enumerate(planes):
+                assert plane == sum(1 << j for j, sub in enumerate(subsets) if v in sub), (n, k, v)
+            for j, sub in enumerate(subsets):
+                assert solver._unrank(j, n, k) == sum(1 << v for v in sub)
+
+    def test_narrow_blocks_split_and_merge_to_the_naive_minimizer(self, monkeypatch):
+        # With blocks of at most 8 subsets nearly every block splits, many
+        # times over; trees, K_n, cycles and circulants tie on many subsets,
+        # so the merges decide the certificate.
+        monkeypatch.setattr(solver, "_BLOCK_SUBSETS", 8)
+        rng = random.Random(2323)
+        graphs = small_corpus(2222)
+        graphs += [random_connected_graph(rng, n, 0.0) for n in range(2, 13)]
+        graphs += [make_complete(n) for n in range(1, 11)]
+        graphs += [make_cycle(n) for n in range(3, 13)]
+        graphs += [random_circulant(rng, rng.randint(5, 12)) for _ in range(10)]
+        for g in graphs:
+            result = rna_exhaustive(g)
+            assert (result.value, result.certificate.vertices) == min_equicut_naive(g.n, g.edges())
 
     def test_three_vertex_path(self):
         # Odd, not rotation-symmetric and k = 1: three one-subset blocks.

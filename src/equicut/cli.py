@@ -242,9 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_jumps(argv: list[str]) -> list[str]:
+    """argv with "--jumps V" written "--jumps=V" when V starts with "-" and a
+    digit: argparse takes such a value (-1,4, unlike a plain -1) for an
+    option and stops with "expected one argument", so the graph builder
+    could not name the bad jump."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--jumps" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = "--jumps=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_jumps(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except EnumerationCapError as exc:

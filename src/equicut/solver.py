@@ -22,11 +22,14 @@ for both views. Three methods are provided:
   value is the lower bound, already computed); a per-pass dominance table
   skips a node when an earlier one at the same depth reached the same
   frontier state at no higher cost (kept at depths where at most Δ
-  assigned vertices have unassigned neighbours, Δ the maximum degree). It
-  searches in non-increasing degree order; on a graph that is not regular,
-  a natural-order pass that stops at its first leaf within the optimum
-  then gives the certificate a single natural-order search returns (see
-  _branch_and_bound);
+  assigned vertices have unassigned neighbours, Δ the maximum degree; the
+  pins of a pass depend on the depth alone, so two nodes with one key have
+  the same completions). A graph that is not regular is searched in
+  non-increasing degree order; a rotation-symmetric one in natural order
+  with vertex 0 on side B and 1, 2 on side A, plus the evens set (PROOF.md,
+  Lemma S). After either, a natural-order pass that stops at its first
+  leaf within the optimum gives the certificate a single natural-order
+  search returns (see _branch_and_bound);
 * local_search - seeded multi-restart best-improvement pair swaps; each
   move groups the outside vertices into gain-level masks, so picking the
   best swap costs O(n) popcounts; returns an upper bound, never below the
@@ -298,7 +301,9 @@ def _pin_zero(g: Graph) -> bool:
     For even n a subset and its complement cut the same edges. Under rotation
     symmetry every rotation class of subsets, including the one holding the
     lexicographically smallest minimizer, has a member containing vertex 0;
-    rna_exhaustive then pins vertex 1 too (PROOF.md, Lemma P). Otherwise
+    rna_exhaustive then pins vertex 1 too (PROOF.md, Lemma P), and branch
+    and bound proves the optimum with other pins (Lemma S) before a search
+    with this one alone gives its certificate. Otherwise
     (odd n, no symmetry) pinning can miss the minimum, and for n = 1 side A
     is empty.
     """
@@ -436,22 +441,37 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
     meets the lower bound lam, the edge connectivity of g. Search runs
     single-threaded so results do not depend on cfg.parallelism.
 
-    The search pass (see _search) takes the vertices in non-increasing
-    degree order, ties in label order, so the fixed crossing edges build up
-    early and the completion bound prunes sooner. On a regular graph (every
-    C_n^d and circulant) that order is the identity and the search pass is
-    the only pass. Otherwise, when it finds a value v below the incumbent,
-    a certificate pass runs the same search in natural order 0..n-1 with
-    limit v + 1 and stops at its first leaf, so the certificate is the one
-    a single natural-order search returns. That search returns the first
-    optimal leaf in its DFS order, whose branch order depends only on the
-    node: until that leaf is reached the limit exceeds v, and neither the
+    The result is always the one a single natural-order search (see
+    _search) returns: vertices 0..n-1 in order, vertex 0 pinned to side A
+    when _pin_zero allows it. That search returns the first optimal leaf in
+    its DFS order, whose branch order depends only on the node: until that
+    leaf is reached the limit exceeds the optimum v, and neither the
     admissible bound nor a dominance skip removes a subtree holding a leaf
-    below the limit, so no ancestor of the leaf is cut; once it is taken
-    the limit is v and no cheaper leaf exists. The certificate pass reaches
-    that same leaf first for the same reason, and the search pass has
-    proved that its cost v is the optimum. When the search pass finds
-    nothing, the local-search incumbent is optimal and is returned.
+    below the limit, so no ancestor of the leaf is cut; once it is taken the
+    limit is v and no cheaper leaf exists. The search pass that proves v may
+    take another order or other pins:
+
+    * on a graph that is not regular, the vertices in non-increasing degree
+      order, ties in label order, so the fixed crossing edges build up early
+      and the completion bound prunes sooner (such a graph has no rotation
+      symmetry, so vertex 0 of that order is pinned to side A for even n);
+    * on a rotation-symmetric graph with k = floor(n/2) >= 2, natural order
+      with vertex 0 pinned to side B and vertices 1 and 2 to side A, plus the
+      evens set {0, 2, ..., 2k-2} as one more candidate: by PROOF.md's Lemma
+      S every k-subset is a rotation of one of these, and a rotation keeps
+      the cut, so the least of them is the minimum;
+    * on any other graph (a regular one without rotation symmetry, or
+      n <= 3) the natural-order search itself, the only pass.
+
+    When the search pass differs from the natural-order search and finds a
+    value v below the incumbent, a certificate pass runs the natural-order
+    search with limit v + 1 and stops at its first leaf: with no leaf
+    cheaper than v, that is the first optimal leaf in DFS order, the one the
+    single search returns. When the search pass finds nothing, nothing below
+    the incumbent exists: the local-search incumbent is optimal and is
+    returned, and a trusted bound below the optimum is an error. The
+    natural-order set-up (_search_setup) is built once and shared by both
+    passes.
     """
     n = g.n
     if cfg.initial_upper_bound is not None:
@@ -465,19 +485,32 @@ def _branch_and_bound(g: Graph, cfg: SolverConfig, lam: int) -> tuple[int, int, 
             return (*best, upper, True)
 
     adj = g.adj
+    k = n // 2
+    # The natural-order search's pins: vertex 0 on side A where allowed.
+    pin_zero = int(_pin_zero(g))
+    natural = None  # its set-up, once built
+    certify = True
     order = sorted(range(n), key=lambda v: -adj[v].bit_count())
-    if order == list(range(n)):
-        found = _search(adj, _pin_zero(g), lam, limit, False)
-    else:
+    if order != list(range(n)):
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
         rows = [sum(1 << pos[u] for u in iter_bits(adj[v])) for v in order]
-        # A graph that is not regular has no rotation symmetry, so _pin_zero
-        # of the relabelled graph holds exactly for even n.
-        found = _search(rows, n % 2 == 0, lam, limit, False)
-        if found is not None:
-            found = _search(adj, _pin_zero(g), lam, found[0] + 1, True)
+        found = _search(_search_setup(rows, lam), int(n % 2 == 0), 0, limit, False)
+    elif k >= 2 and is_rotation_symmetric(g):
+        natural = _search_setup(adj, lam)
+        evens = sum(1 << v for v in range(0, 2 * k, 2))
+        evens_cut = g.cut_size(evens)
+        # Vertices 1 and 2 on side A, vertex 0 on side B (PROOF.md, Lemma S).
+        found = _search(natural, 0b110, 0b1, min(limit, evens_cut), False)
+        if found is None and evens_cut < limit:
+            found = (evens_cut, evens)
+    else:
+        natural = _search_setup(adj, lam)
+        found = _search(natural, pin_zero, 0, limit, False)
+        certify = False
+    if found is not None and certify:
+        found = _search(natural or _search_setup(adj, lam), pin_zero, 0, found[0] + 1, True)
     if found is not None:
         best = found
     elif best is None:
@@ -491,14 +524,37 @@ class _FirstLeaf(Exception):
     """Raised by _search at its first leaf when asked to stop there."""
 
 
+def _search_setup(adj: Sequence[int], lam: int) -> tuple:
+    """The part of _search that depends only on the graph with adjacency
+    rows adj and edge connectivity lam, so passes over the same rows share
+    it: (adj, inner, max_deg, later, frontier).
+
+    inner is _suffix_connectivity(adj, lam), max_deg the maximum degree,
+    later[t] the neighbours of t above t, and frontier[t] the vertices below
+    t with a neighbour at t or above, or -1 at the depths where the
+    dominance table is not kept (see _search's width rule).
+    """
+    n = len(adj)
+    inner = _suffix_connectivity(adj, lam)
+    max_deg = max((row.bit_count() for row in adj), default=0)
+    later = [tuple(iter_bits(row >> (t + 1) << (t + 1))) for t, row in enumerate(adj)]
+    frontier = [0] * (n + 1)
+    for v, row in enumerate(adj):
+        for t in range(v + 1, row.bit_length()):
+            frontier[t] |= 1 << v
+    frontier = [
+        f if f.bit_count() <= max_deg and f != (1 << t) - 1 else -1 for t, f in enumerate(frontier)
+    ]
+    return adj, inner, max_deg, later, frontier
+
+
 def _search(
-    adj: Sequence[int], pin_zero: bool, lam: int, limit: int, first_leaf: bool
+    setup: tuple, pin_a: int, pin_b: int, limit: int, first_leaf: bool
 ) -> tuple[int, int] | None:
     """The cheapest (cost, amask) below limit over the equicuts of the graph
-    with adjacency rows adj, or None when there is none; with first_leaf,
-    the first leaf below limit in DFS order instead. lam is the graph's edge
-    connectivity and pin_zero whether vertex 0 may be fixed on side A (see
-    _pin_zero).
+    of setup (see _search_setup) that put the vertices of mask pin_a on side
+    A and those of pin_b on side B, or None when there is none; with
+    first_leaf, the first such leaf below limit in DFS order instead.
 
     Vertices 0..n-1 are assigned in order to side A (capacity floor(n/2)) or
     side B (capacity ceil(n/2)), the cheaper side first, ties to A. A branch
@@ -515,7 +571,8 @@ def _search(
       it cuts at least inner[t], the edge connectivity of the subgraph they
       induce (see _suffix_connectivity).
 
-    A stronger admissible bound prunes only subtrees holding no leaf below
+    Both terms ignore the pins, so they bound the pinned completions too. A
+    stronger admissible bound prunes only subtrees holding no leaf below
     the limit, so the incumbents are found in the same order as with the
     first term alone; only the node count drops.
 
@@ -531,17 +588,18 @@ def _search(
     (t, ca, amask & frontier[t]), the state of the frontier DP for bisection
     (Jansen, Karpinski, Lingas & Seidel, SIAM J. Comput. 35(1), 2005). The
     key fixes cb = t - ca, tb, every unassigned vertex's level (so hist),
-    and inner[t], so two nodes with the same key have the same completions
-    at the same added cost. The table holds the least cur reached with each
-    key; a node is skipped, before its bound is computed, when its key
-    holds a value <= cur, and otherwise stores cur. This is admissible in
-    the sense above. The earlier node with the key sits at the same depth,
-    so its subtree was finished before this node starts, under limits no
-    lower than the current one. For every completion c, the leaf here costs
-    cur + f(c) >= cur' + f(c), the earlier node's leaf, which either became
-    an incumbent (so the limit is at most its cost) or was pruned at a limit
-    no lower than the current one. So the skipped subtree holds no leaf
-    below the limit.
+    and inner[t], and the pins left, those of t..n-1, depend on t alone, so
+    two nodes with the same key have the same completions at the same added
+    cost. The table holds the least cur reached with each key; a node is
+    skipped, before its bound is computed, when its key holds a value <=
+    cur, and otherwise stores cur. This is admissible in the sense above.
+    The earlier node with the key sits at the same depth, so its subtree was
+    finished before this node starts, under limits no lower than the
+    current one. For every completion c, the leaf here costs cur + f(c) >=
+    cur' + f(c), the earlier node's leaf, which either became an incumbent
+    (so the limit is at most its cost) or was pruned at a limit no lower
+    than the current one. So the skipped subtree holds no leaf below the
+    limit.
 
     Width rule: the table is kept only at depths whose frontier has at most
     Δ vertices, the graph's own bandwidth in its vertex order (2d = Δ at
@@ -550,24 +608,13 @@ def _search(
     a table there only costs time. It is not kept either where the frontier
     is the whole prefix 0..t-1, since such a key names a single node.
     """
+    adj, inner, max_deg, later, frontier = setup
     n = len(adj)
     best = None
     cap_a, cap_b = n // 2, n - n // 2
-    inner = _suffix_connectivity(adj, lam)
-    max_deg = max((row.bit_count() for row in adj), default=0)
     level = [max_deg] * n
     hist = [0] * (2 * max_deg + 1)
     hist[max_deg] = n
-    later = [tuple(iter_bits(row >> (t + 1) << (t + 1))) for t, row in enumerate(adj)]
-    # frontier[t]: the vertices below t with a neighbour at t or above; -1
-    # where the dominance table is not kept (see the width rule above).
-    frontier = [0] * (n + 1)
-    for v, row in enumerate(adj):
-        for t in range(v + 1, row.bit_length()):
-            frontier[t] |= 1 << v
-    frontier = [
-        f if f.bit_count() <= max_deg and f != (1 << t) - 1 else -1 for t, f in enumerate(frontier)
-    ]
     # The least cur reached so far with each key (t, ca, amask & frontier[t]).
     seen = {}
 
@@ -596,9 +643,9 @@ def _search(
         into_b = into_a + max_deg - lt  # level[t] = into_a - into_b + Δ
         # (cost, side) with side A = 0, so ties try A first.
         branches = []
-        if ca < cap_a:
+        if ca < cap_a and not pin_b >> t & 1:
             branches.append((into_b, 0))
-        if cb < cap_b and not (t == 0 and pin_zero):
+        if cb < cap_b and not pin_a >> t & 1:
             branches.append((into_a, 1))
         nbrs = later[t]
         for cost, side in sorted(branches):

@@ -148,7 +148,13 @@ def degree_order(n, edges):
     return sorted(range(n), key=lambda v: (-degree[v], v))
 
 
-def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True, in_degree_order=True):
+def is_rotation_invariant(n, edges):
+    """Whether the edge set is mapped onto itself by v -> v + 1 (mod n)."""
+    edge_set = set(edges)
+    return all(tuple(sorted(((u + 1) % n, (v + 1) % n))) in edge_set for u, v in edges)
+
+
+def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True, one_pass=False):
     """Reference branch and bound that calls completion_bound_scan at every
     node. Returns (the (value, mask, upper bound used, exact) of
     solver._branch_and_bound, the number of nodes whose bound it computes).
@@ -164,19 +170,24 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True, in_degr
     names one node and never hits, so the node counts still agree.
     dominance=False drops the table.
 
-    in_degree_order=True searches the graph relabelled in degree_order
-    first, pinning its vertex 0 by _pin_zero of the relabelled graph; when
-    that order is not the identity and the search finds a value v, a natural
-    order search with limit v + 1 that stops at its first leaf gives the
-    certificate, and the node count covers both searches.
-    in_degree_order=False searches once, in natural order."""
+    one_pass=True searches once, in natural order, with vertex 0 on side A
+    for even n or rotation-invariant edges (n > 1). one_pass=False takes the
+    solver's passes: a graph that is not regular is searched relabelled in
+    degree_order, with its vertex 0 on side A for even n; a rotation-
+    invariant graph with floor(n/2) >= 2 in natural order with vertex 0 on
+    side B and vertices 1, 2 on side A, plus the evens set as a candidate;
+    any other graph by the one-pass search alone. When the first search is
+    not the one-pass search and finds a value v, the one-pass search with
+    limit v + 1 that stops at its first leaf gives the certificate, and the
+    node count covers both searches."""
     from dataclasses import replace
 
     from equicut import graph_from_edges
     from equicut.errors import InvalidInputError
-    from equicut.solver import _local_search_best, _pin_zero, _suffix_connectivity
+    from equicut.solver import _local_search_best, _suffix_connectivity
 
     n = g.n
+    edges = g.edges()
     if cfg.initial_upper_bound is not None:
         upper = cfg.initial_upper_bound
         best = None
@@ -190,12 +201,12 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True, in_degr
     cap_a, cap_b = n // 2, n - n // 2
     nodes = 0
 
-    def search(h, limit, first_leaf):
-        """(cost, mask) of the cheapest leaf of graph h below limit, or of
-        the first one with first_leaf; None when there is none."""
+    def search(h, pin_a, pin_b, limit, first_leaf):
+        """(cost, mask) of the cheapest leaf of graph h below limit with the
+        vertices of pin_a on side A and those of pin_b on side B, or of the
+        first one with first_leaf; None when there is none."""
         nonlocal nodes
         adj = h.adj
-        pin_zero = _pin_zero(h)
         inner = _suffix_connectivity(adj, lam) if suffix_term else [0] * (n + 1)
         max_deg = max((row.bit_count() for row in adj), default=0)
         frontier = [f if len(f) <= max_deg else None for f in frontier_sets(n, h.edges())]
@@ -220,9 +231,9 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True, in_degr
                 return
             # (cost, side) with side A = 0, so ties try A first.
             branches = []
-            if ca < cap_a:
+            if ca < cap_a and t not in pin_b:
                 branches.append(((adj[t] & bmask).bit_count(), 0))
-            if cb < cap_b and not (t == 0 and pin_zero):
+            if cb < cap_b and t not in pin_a:
                 branches.append(((adj[t] & amask).bit_count(), 1))
             for cost, side in sorted(branches):
                 if side == 0:
@@ -233,15 +244,25 @@ def branch_and_bound_scan(g, cfg, lam, suffix_term=True, dominance=True, in_degr
         dfs(0, 0, 0, 0, 0, 0)
         return found[-1] if found else None
 
-    order = degree_order(n, g.edges()) if in_degree_order else list(range(n))
-    if order == list(range(n)):
-        found = search(g, limit, False)
-    else:
+    rotation = n > 1 and is_rotation_invariant(n, edges)
+    natural_pin = {0} if n % 2 == 0 or rotation else set()
+    order = list(range(n)) if one_pass else degree_order(n, edges)
+    certify = True
+    if order != list(range(n)):
         pos = {v: i for i, v in enumerate(order)}
-        relabelled = graph_from_edges(n, [(pos[u], pos[v]) for u, v in g.edges()])
-        found = search(relabelled, limit, False)
-        if found is not None:
-            found = search(g, found[0] + 1, True)
+        relabelled = graph_from_edges(n, [(pos[u], pos[v]) for u, v in edges])
+        found = search(relabelled, {0} if n % 2 == 0 else set(), set(), limit, False)
+    elif not one_pass and rotation and n // 2 >= 2:
+        evens = range(0, 2 * (n // 2), 2)
+        evens_cut = cut_size_edges(edges, evens)
+        found = search(g, {1, 2}, {0}, min(limit, evens_cut), False)
+        if found is None and evens_cut < limit:
+            found = (evens_cut, sum(1 << v for v in evens))
+    else:
+        found = search(g, natural_pin, set(), limit, False)
+        certify = False
+    if found is not None and certify:
+        found = search(g, natural_pin, set(), found[0] + 1, True)
     if found is not None:
         best = found
     elif best is None:
@@ -256,9 +277,7 @@ def branch_and_bound_greedy(g, cfg, lam):
     search as it stood before the suffix edge-connectivity term was added,
     with no dominance table, kept to show that neither the stronger bound nor
     the table changes a result. It searches once, in natural order, so it
-    also shows that the degree-order search leaves every result unchanged.
-    Returns the same (value, mask, upper bound used, exact) as
-    solver._branch_and_bound."""
-    return branch_and_bound_scan(
-        g, cfg, lam, suffix_term=False, dominance=False, in_degree_order=False
-    )[0]
+    also shows that neither the degree-order search nor the pinned search of
+    rotation-invariant graphs changes a result. Returns the same (value,
+    mask, upper bound used, exact) as solver._branch_and_bound."""
+    return branch_and_bound_scan(g, cfg, lam, suffix_term=False, dominance=False, one_pass=True)[0]

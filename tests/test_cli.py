@@ -83,6 +83,22 @@ class TestGen:
         assert "cycle power needs n >= 3, got 2" in err
         assert "note:" not in err
 
+    @pytest.mark.parametrize("jumps", [["--jumps", "-1,4"], ["--jumps=-1,4"], ["--jumps", "-1"]])
+    def test_negative_jump_reaches_the_builder(self, capsys, tmp_path, jumps):
+        out = tmp_path / "g.json"
+        code, _, err = run_cli(
+            capsys, "gen", "--family", "circulant", "--n", "8", *jumps, "--out", str(out)
+        )
+        assert code == 2
+        assert err.startswith("error: jumps must be strictly increasing positive, got (-1")
+        assert not out.exists()
+
+    def test_option_after_jumps_is_not_taken_for_its_value(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--family", "circulant", "--n", "8", "--jumps", "--out", str(tmp_path / "g")])
+        assert exc.value.code == 2
+        assert "argument --jumps: expected one argument" in capsys.readouterr().err
+
     def test_reproducible_bytes(self, capsys, tmp_path):
         a = gen(capsys, tmp_path, "a.json", "--family", "circulant", "--n", "9", "--jumps", "1,3")
         b = gen(capsys, tmp_path, "b.json", "--family", "circulant", "--n", "9", "--jumps", "1,3")

@@ -1,8 +1,9 @@
 """The branch-and-bound completion bound: its suffix edge-connectivity term,
 its equality with the bound recounted at every node, its admissibility, and
 the search results and node counts it must leave unchanged; the dominance
-table and the degree-order search with its certificate pass, which must
-leave the search results unchanged too."""
+table, the degree-order search and the pinned search of rotation-symmetric
+graphs (PROOF.md, Lemma S) with their certificate pass, which must leave the
+search results unchanged too."""
 
 import json
 import random
@@ -28,6 +29,7 @@ from equicut import (
 )
 from equicut.bitset import iter_bits
 from equicut.cli import main
+from equicut.errors import InvalidInputError
 from equicut.graphs import is_rotation_symmetric
 from equicut.verify import random_connected_graph
 
@@ -195,17 +197,18 @@ class TestSameResultsWithoutTable:
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The first_leaf flag of every solver._search call, in call order: one
-    False per search pass, one True per certificate pass."""
+    """(pin_a, pin_b, first_leaf) of every solver._search call, in call
+    order: first_leaf is False for a search pass, True for a certificate
+    pass."""
     search = solver._search
-    flags = []
+    calls = []
 
-    def recording(adj, pin_zero, lam, limit, first_leaf):
-        flags.append(first_leaf)
-        return search(adj, pin_zero, lam, limit, first_leaf)
+    def recording(setup, pin_a, pin_b, limit, first_leaf):
+        calls.append((pin_a, pin_b, first_leaf))
+        return search(setup, pin_a, pin_b, limit, first_leaf)
 
     monkeypatch.setattr(solver, "_search", recording)
-    return flags
+    return calls
 
 
 class TestDegreeOrder:
@@ -224,7 +227,7 @@ class TestDegreeOrder:
             got = solver._branch_and_bound(g, cfg, lam)
             assert got == branch_and_bound_greedy(g, cfg, lam), g
             assert got[0] == rna_exhaustive(g).value, g
-            certified += passes == [False, True]
+            certified += [leaf for _, _, leaf in passes] == [False, True]
         assert certified >= 5
 
     def test_trusted_bound_on_a_non_regular_graph(self, capsys, tmp_path, passes):
@@ -242,7 +245,7 @@ class TestDegreeOrder:
         assert err == (
             "error: initial_upper_bound is below the true optimum; no equicut found within it\n"
         )
-        assert passes == [False]
+        assert passes == [(1, 0, False)]
 
         passes.clear()
         assert main([*solve, "--upper-bound", str(optimum)]) == 0
@@ -250,25 +253,99 @@ class TestDegreeOrder:
         cfg = SolverConfig(initial_upper_bound=optimum)
         want = branch_and_bound_greedy(g, cfg, edge_connectivity(g))
         assert (result["value"], result["certificate"]) == (optimum, list(iter_bits(want[1])))
-        assert passes == [False, True]
+        assert passes == [(1, 0, False), (1, 0, True)]
 
     def test_regular_graphs_run_one_pass(self, passes):
+        # Without rotation symmetry the natural-order search is the only
+        # pass, with vertex 0 on side A for even n only.
         petersen = graph_from_edges(
             10,
             [(i, (i + 1) % 5) for i in range(5)]
             + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
             + [(i, i + 5) for i in range(5)],
         )
-        assert not is_rotation_symmetric(petersen)
-        graphs = [petersen, make_cycle_power(26, 3), make_circulant(21, (2, 5)), make_complete(9)]
-        for g in graphs:
+        # C_7^2 with vertices 1 and 2 swapped: 4-regular, odd, no pin.
+        swap = [0, 2, 1, 3, 4, 5, 6]
+        c7_2 = graph_from_edges(
+            7, sorted(tuple(sorted((swap[u], swap[v]))) for u, v in make_cycle_power(7, 2).edges())
+        )
+        for g in (petersen, c7_2):
+            assert not is_rotation_symmetric(g)
+            pin = int(g.n % 2 == 0)
             exact = rna_exhaustive(g).value
             for upper in (None, exact, exact + 2):
                 passes.clear()
                 got = rna_branch_and_bound(g, SolverConfig(initial_upper_bound=upper, restarts=1))
                 assert got.value == exact
                 # Local search may meet λ and settle the graph with no pass.
-                assert passes == [False] or (upper is None and passes == []), (g, upper)
+                assert passes == [(pin, 0, False)] or (upper is None and passes == []), (g, upper)
+
+
+class TestRotationPins:
+    def test_pinned_pass_then_a_first_leaf_pass(self, passes):
+        # Vertex 0 on side B and 1, 2 on side A (PROOF.md, Lemma S), then the
+        # natural-order search, vertex 0 on side A, up to its first leaf.
+        pinned, certificate = (0b110, 0b1, False), (0b1, 0, True)
+        graphs = (
+            make_cycle_power(26, 3),
+            make_circulant(21, (2, 5)),
+            make_circulant(7, (2,)),
+            make_complete(9),
+        )
+        for g in graphs:
+            exact = rna_exhaustive(g).value
+            lam = edge_connectivity(g)
+            for upper in (exact, exact + 2):
+                passes.clear()
+                got = rna_branch_and_bound(g, SolverConfig(initial_upper_bound=upper))
+                assert got.value == exact
+                assert passes == [pinned, certificate], (g, upper)
+            # A trusted bound below the optimum: the pinned pass proves it.
+            passes.clear()
+            with pytest.raises(InvalidInputError):
+                rna_branch_and_bound(g, SolverConfig(initial_upper_bound=exact - 1))
+            assert passes == [pinned], g
+            # Local search finds the optimum on these graphs: unless that
+            # meets λ, the pinned pass finds nothing below it.
+            passes.clear()
+            assert rna_branch_and_bound(g).value == exact
+            assert passes == ([pinned] if exact > lam else []), g
+
+    def test_graphs_with_at_most_three_vertices_keep_the_vertex_0_pin(self, passes):
+        for n in (2, 3):
+            g = make_complete(n)
+            rna_branch_and_bound(g, SolverConfig(initial_upper_bound=n // 2 * (n - n // 2)))
+            assert passes == [(1, 0, False)], n
+            passes.clear()
+
+    def test_evens_candidate_is_the_minimizer_of_c7_2(self, passes):
+        # C_7({2}) is the 7-cycle 0, 2, 4, 6, 1, 3, 5: the pinned subsets
+        # cut at least 4 edges, the evens set {0, 2, 4} only 2.
+        g = make_circulant(7, (2,))
+        result = rna_branch_and_bound(g, SolverConfig(initial_upper_bound=5))
+        assert (result.value, result.certificate.vertices) == (2, (0, 2, 4))
+        assert passes == [(0b110, 0b1, False), (0b1, 0, True)]
+
+    def test_connected_circulants_under_five_bounds(self):
+        # The local-search incumbent, trusted bounds at the optimum and 1
+        # and 4 above it, and 1 below it, which must raise: each result
+        # equals the one natural-order greedy-bound search.
+        count = 0
+        for n in range(3, 15):
+            for size in (1, 2, 3):
+                for jumps in combinations(range(1, n // 2 + 1), size):
+                    if gcd(n, *jumps) != 1:
+                        continue
+                    g = make_circulant(n, jumps)
+                    assert is_rotation_symmetric(g)
+                    exact = rna_exhaustive(g).value
+                    assert_same_search(g, (None, exact, exact + 1, exact + 4), exact)
+                    below = SolverConfig(initial_upper_bound=exact - 1)
+                    for search in (solver._branch_and_bound, branch_and_bound_greedy):
+                        with pytest.raises(InvalidInputError):
+                            search(g, below, edge_connectivity(g))
+                    count += 1
+        assert count == 216
 
 
 def test_search_depth_at_the_vertex_limit():

@@ -1,10 +1,16 @@
-"""Lemmas W and R of PROOF.md on cyclic two-colourings of C_n^d.
+"""Lemmas W and R of PROOF.md on cyclic two-colourings of C_n^d, and
+Lemma S on the k-subsets of Z_n.
 
 A colouring is a bitmask (bit i set: vertex i on side A). Lemma W: if both
 sides have a d-run, the cut is at least d(d+1). Lemma R: a side X with no
-d-run has cut at least 2|X|. These tests use neither the package's graphs
-nor its solvers.
+d-run has cut at least 2|X|. Lemma S: with k = floor(n/2) >= 2, every
+k-subset is a rotation of the evens set or has a rotation that leaves out 0
+and holds 1 and 2. These tests use neither the package's graphs nor its
+solvers.
 """
+
+from itertools import combinations
+from math import gcd
 
 from hypothesis import given, settings, strategies as st
 
@@ -98,3 +104,62 @@ def test_lemmas_on_strings_up_to_60(sides, data):
         n, d, naive_cut(sides, d), sum(sides), has_run(sides, d, True), has_run(sides, d, False)
     )
     assert failure is None
+
+
+def rotations(mask, n):
+    """The n rotations of the subset mask of Z_n, by 0..n-1."""
+    full = (1 << n) - 1
+    return [((mask >> j) | (mask << (n - j))) & full for j in range(n)]
+
+
+def evens(n):
+    return sum(1 << v for v in range(0, 2 * (n // 2), 2))
+
+
+def pinned(mask):
+    """Lemma S's pins: 0 left out, 1 and 2 held."""
+    return mask & 0b111 == 0b110
+
+
+def k_subsets(n):
+    for chosen in combinations(range(n), n // 2):
+        yield sum(1 << v for v in chosen)
+
+
+def test_lemma_s_every_subset_is_a_rotation_of_a_pinned_one_or_the_evens_set():
+    for n in range(4, 17):
+        for mask in k_subsets(n):
+            rots = rotations(mask, n)
+            assert evens(n) in rots or any(pinned(r) for r in rots), (n, mask)
+
+
+def circulant_cut(n, jumps):
+    """The cut of a vertex set of the circulant C_n(jumps), as a function."""
+    adj = [0] * n
+    for v in range(n):
+        for j in jumps:
+            adj[v] |= 1 << (v + j) % n | 1 << (v - j) % n
+    full = (1 << n) - 1
+    return lambda mask: sum((adj[v] & full & ~mask).bit_count() for v in range(n) if mask >> v & 1)
+
+
+def test_lemma_s_keeps_the_minimum_of_every_connected_circulant_up_to_12():
+    count = 0
+    for n in range(4, 13):
+        for size in range(1, n // 2 + 1):
+            for jumps in combinations(range(1, n // 2 + 1), size):
+                if gcd(n, *jumps) != 1:
+                    continue
+                cut = circulant_cut(n, jumps)
+                cuts = {mask: cut(mask) for mask in k_subsets(n)}
+                kept = [c for mask, c in cuts.items() if pinned(mask)] + [cuts[evens(n)]]
+                assert min(kept) == min(cuts.values()), (n, jumps)
+                count += 1
+    assert count == 155
+
+
+def test_c7_2_needs_the_evens_set():
+    # C_7({2}) is the 7-cycle 0, 2, 4, 6, 1, 3, 5.
+    cut = circulant_cut(7, (2,))
+    assert min(cut(mask) for mask in k_subsets(7) if pinned(mask)) == 4
+    assert min(cut(mask) for mask in k_subsets(7)) == cut(evens(7)) == 2

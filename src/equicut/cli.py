@@ -52,16 +52,6 @@ def _worker_count(text: str) -> int:
     return workers
 
 
-def _cap(text: str) -> int:
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = -1
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return cap
-
-
 def _family_spec(args: argparse.Namespace) -> GraphFamilySpec:
     family = args.family.replace("-", "_")
     jumps = None
@@ -89,7 +79,6 @@ def _solver_config(args: argparse.Namespace) -> SolverConfig:
         rng_seed=args.seed,
         parallelism=args.workers,
         initial_upper_bound=args.upper_bound,
-        exhaustive_cap=args.cap,
     )
 
 
@@ -207,8 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="RNG seed (local search restarts)")
     p.add_argument("--restarts", type=int, default=SolverConfig.restarts, help="local-search restarts")
     _add_workers(p)
-    p.add_argument("--cap", type=_cap, default=SolverConfig.exhaustive_cap,
-                   help="exhaustive enumeration cap on n")
     p.add_argument("--upper-bound", type=int, default=None, dest="upper_bound",
                    help="trusted initial upper bound (branch-and-bound only; exit 2 with other methods)")
     p.set_defaults(func=cmd_solve)

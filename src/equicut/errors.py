@@ -14,4 +14,4 @@ class DisconnectedGraphError(InvalidInputError):
 
 
 class EnumerationCapError(EquicutError):
-    """Instance is above the exhaustive-enumeration cap; use branch and bound instead."""
+    """Instance is above the exhaustive limit (solver.MAX_EXHAUSTIVE_N); use branch and bound instead."""

@@ -64,10 +64,9 @@ from .errors import EnumerationCapError, InvalidInputError
 from .graphs import Graph, is_rotation_symmetric
 from .parity import Equicut
 
-DEFAULT_ENUMERATION_CAP = 30
-# Exhaustive refuses larger graphs whatever the cap: C(n, n/2) subsets at
-# this size could never be scored.
-_MAX_EXHAUSTIVE_N = 256
+# Exhaustive refuses larger graphs: n = 30 already means C(30, 15), about
+# 1.6e8 subsets. branch_and_bound solves them exactly.
+MAX_EXHAUSTIVE_N = 30
 _SEED_STRIDE = 1_000_003
 
 
@@ -76,22 +75,20 @@ class SolverConfig:
     """Knobs shared by the solvers.
 
     Only what the graph cannot tell: symmetry reduction is always derived
-    from the graph (see _pin_zero), and results never depend on parallelism.
+    from the graph (see _pin_zero), results never depend on parallelism,
+    and exhaustive's size limit is the constant MAX_EXHAUSTIVE_N.
     """
 
     restarts: int = 100
     rng_seed: int = 0
     parallelism: int = 1
     initial_upper_bound: int | None = None
-    exhaustive_cap: int = DEFAULT_ENUMERATION_CAP
 
     def __post_init__(self):
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
         if self.parallelism < 1:
             raise InvalidInputError("parallelism must be >= 1")
-        if self.exhaustive_cap < 0:
-            raise InvalidInputError("exhaustive_cap must be >= 0")
         if self.initial_upper_bound is not None and self.initial_upper_bound < 0:
             raise InvalidInputError("initial_upper_bound must be >= 0")
 
@@ -153,7 +150,8 @@ os.register_at_fork(after_in_child=_forget_pool)
 
 def _parallel_map(fn, tasks: list, workers: int) -> list:
     """fn(*task) for each task, in order, on at most min(workers, len(tasks),
-    CPUs) processes; one process means no pool at all.
+    CPUs) processes; one process means no pool at all. A worker count below
+    1 is refused before any task runs.
 
     More processes run on the shared pool, which is started by the first
     such call; a call of another size closes it before starting its own.
@@ -162,6 +160,8 @@ def _parallel_map(fn, tasks: list, workers: int) -> list:
     leave one process with the big ones.
     """
     global _pool
+    if workers < 1:
+        raise InvalidInputError(f"worker count must be >= 1, got {workers}")
     size = min(workers, len(tasks), _cpu_count())
     if size <= 1:
         return [fn(*task) for task in tasks]
@@ -211,7 +211,7 @@ def _planes(n: int, k: int) -> tuple[int, ...]:
     plane is all ones there, and vertex v's plane is vertex v-1's of
     (n-1, k-1) followed by vertex v-1's of (n-1, k). Keys are finite: the
     blocks of _min_equicut_block ask only for C(n, k) <= _BLOCK_SUBSETS and
-    n <= _MAX_EXHAUSTIVE_N.
+    n <= MAX_EXHAUSTIVE_N.
     """
     if k == 0 or k == n:
         return (int(k > 0),) * n
@@ -325,13 +325,11 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     wide one further, inside its task.
     """
     cfg = cfg or SolverConfig()
-    if g.n > cfg.exhaustive_cap:
+    if g.n > MAX_EXHAUSTIVE_N:
         raise EnumerationCapError(
-            f"n={g.n} exceeds the enumeration cap {cfg.exhaustive_cap}; "
-            "use branch_and_bound or raise the cap"
+            f"exhaustive enumeration supports n <= {MAX_EXHAUSTIVE_N}, got n={g.n}; "
+            "branch_and_bound solves it exactly"
         )
-    if g.n > _MAX_EXHAUSTIVE_N:
-        raise EnumerationCapError(f"exhaustive enumeration supports n <= {_MAX_EXHAUSTIVE_N}, got n={g.n}")
 
     def search(lower: int) -> tuple[int, int, int, bool]:
         n, k = g.n, g.n // 2

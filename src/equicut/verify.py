@@ -46,7 +46,7 @@ from .parity import (
     switch_vertices,
 )
 from .solver import (
-    DEFAULT_ENUMERATION_CAP,
+    MAX_EXHAUSTIVE_N,
     SolveResult,
     SolverConfig,
     _parallel_map,
@@ -382,6 +382,6 @@ def run_formulas_suite(n_max: int = 60) -> list[CheckResult]:
 def run_solvers_suite(seed: int = DEFAULT_SEED, n_max: int = 14) -> list[CheckResult]:
     # The random circulants take n from 5..n_max, and exhaustive solves
     # every cycle power up to n_max.
-    if not 5 <= n_max <= DEFAULT_ENUMERATION_CAP:
-        raise InvalidInputError(f"the solvers suite needs 5 <= n_max <= {DEFAULT_ENUMERATION_CAP}, got {n_max}")
+    if not 5 <= n_max <= MAX_EXHAUSTIVE_N:
+        raise InvalidInputError(f"the solvers suite needs 5 <= n_max <= {MAX_EXHAUSTIVE_N}, got {n_max}")
     return [check_solver_agreement(seed, n_max)]

@@ -161,6 +161,13 @@ def c10_square(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def c31_square(tmp_path_factory):
+    path = tmp_path_factory.mktemp("solve") / "c31-2.json"
+    assert main(["gen", "--family", "cycle-power", "--n", "31", "--d", "2", "--out", str(path)]) == 0
+    return path
+
+
 class TestSolve:
     @pytest.mark.parametrize(
         "family,n,d,value",
@@ -223,20 +230,16 @@ class TestSolve:
         path = gen(capsys, tmp_path, "g.json", "--family", "cycle", "--n", "31")
         code, _, err = run_cli(capsys, "solve", "--graph", str(path), "--method", "exhaustive")
         assert code == 3
-        assert "cap" in err
+        assert "n <= 30" in err and "branch_and_bound" in err
 
-    @pytest.mark.parametrize("cap", ["-3", "-1", "ten"])
+    @pytest.mark.parametrize("cap", ["-3", "-1", "ten", "40"])
     def test_bad_cap_exits_2(self, capsys, tmp_path, cap):
+        # Exhaustive's size limit is fixed, so solve has no --cap flag.
         path = gen(capsys, tmp_path, "g.json", "--family", "cycle", "--n", "12")
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--graph", str(path), "--method", "exhaustive", "--cap", cap])
         assert exc.value.code == 2
         assert "--cap" in capsys.readouterr().err
-        code, out, _ = run_cli(
-            capsys, "solve", "--graph", str(path), "--method", "branch-and-bound", "--cap", "0"
-        )
-        assert code == 0
-        assert json.loads(out)["value"] == 2
 
     def test_negative_upper_bound_exits_2_before_any_work(self, capsys, tmp_path, monkeypatch):
         from equicut import solver
@@ -318,39 +321,39 @@ class TestSolve:
     @settings(max_examples=60, deadline=None)
     @given(
         method=st.sampled_from(list(METHODS)),
-        cap=st.integers(-3, 14),
+        large=st.booleans(),
         restarts=st.integers(-2, 4),
         upper_bound=st.one_of(st.none(), st.integers(-3, 9)),
     )
-    @example(method="exhaustive", cap=9, restarts=1, upper_bound=None)
-    @example(method="exhaustive", cap=10, restarts=1, upper_bound=None)
-    @example(method="branch_and_bound", cap=0, restarts=1, upper_bound=5)
-    @example(method="branch_and_bound", cap=0, restarts=1, upper_bound=6)
-    def test_exit_code_for_any_cap_restarts_and_upper_bound(
-        self, c10_square, method, cap, restarts, upper_bound
+    @example(method="exhaustive", large=True, restarts=1, upper_bound=None)
+    @example(method="exhaustive", large=False, restarts=1, upper_bound=None)
+    @example(method="branch_and_bound", large=False, restarts=1, upper_bound=5)
+    @example(method="branch_and_bound", large=False, restarts=1, upper_bound=6)
+    def test_exit_code_for_any_size_restarts_and_upper_bound(
+        self, c10_square, c31_square, method, large, restarts, upper_bound
     ):
         from equicut import solver
 
         method = method.replace("_", "-")
-        argv = ["solve", "--graph", str(c10_square), "--method", method, "--workers", "1",
-                "--cap", str(cap), "--restarts", str(restarts)]
+        graph = c31_square if large else c10_square
+        argv = ["solve", "--graph", str(graph), "--method", method, "--workers", "1",
+                "--restarts", str(restarts)]
         if upper_bound is not None:
             argv += ["--upper-bound", str(upper_bound)]
-        # C_10^2 has minimum equicut 6 and 10 vertices.
-        flags_ok = cap >= 0 and restarts >= 1 and (
+        # C_10^2 and C_31^2 both have minimum equicut 6 and edge connectivity 4.
+        flags_ok = restarts >= 1 and (
             upper_bound is None or (method == "branch-and-bound" and upper_bound >= 0)
         )
         if not flags_ok:
             want = 2
-        elif method == "exhaustive" and cap < 10:
-            want = 3
+        elif method == "exhaustive" and large:
+            want = 3  # exhaustive takes n <= 30
         elif upper_bound is not None and upper_bound < 6:
             want = 2  # the trusted bound is below the optimum
         else:
             want = 0
         bounds = []
         with pytest.MonkeyPatch.context() as mp:
-            # 4 is the edge connectivity of C_10^2, so every solver runs as usual.
             mp.setattr(solver, "rna_lower_bound", lambda g: bounds.append(g) or 4)
             code, out, err = run_main(*argv)
         assert code == want, err
@@ -359,7 +362,8 @@ class TestSolve:
             assert value == 6 or (method == "local-search" and value > 6)
         else:
             assert out == "" and "error" in err
-        # A bad flag or the cap is refused before the lower bound is computed.
+        # A bad flag or a graph too large for exhaustive is refused before
+        # the lower bound is computed.
         assert bool(bounds) == (flags_ok and want != 3)
 
 
@@ -475,7 +479,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("cap", ["-1", "-30", "ten"])
     def test_bad_cap_exits_2_before_any_row(self, capsys, tmp_path, monkeypatch, cap):
-        # --cap is a solve flag; no sweep row enumerates.
+        # No command takes --cap; exhaustive's size limit is fixed.
         from equicut import cli
 
         def fake_sweep(*args, **kwargs):
@@ -803,7 +807,7 @@ class TestDefaults:
         monkeypatch.delenv("EQUICUT_WORKERS", raising=False)
         args = build_parser().parse_args(argv)
         cfg = SolverConfig()
-        # Both commands share --workers; only solve takes --cap and builds a SolverConfig.
+        # Both commands share --workers; only solve takes --method and builds a SolverConfig.
         assert args.workers == cfg.parallelism
         if args.command == "solve":
             assert _solver_config(args) == cfg

@@ -86,17 +86,20 @@ class TestExhaustive:
             result = rna_exhaustive(g)
             assert (result.value, result.certificate.vertices) == (want_val, want_set)
 
-    def test_cap_refusal(self):
-        with pytest.raises(EnumerationCapError, match="branch_and_bound"):
-            rna_exhaustive(make_cycle(31))
-        # the cap is an overridable default, not a hard limit
-        g = make_cycle(12)
-        with pytest.raises(EnumerationCapError):
-            rna_exhaustive(g, SolverConfig(exhaustive_cap=10))
-        assert rna_exhaustive(g, SolverConfig(exhaustive_cap=12)).value == 2
-        # no enumeration of n > 256 could finish, whatever cap is asked for
-        with pytest.raises(EnumerationCapError, match="n <= 256"):
-            rna_exhaustive(make_cycle(257), SolverConfig(exhaustive_cap=1000))
+    def test_cap_refusal(self, monkeypatch):
+        # One limit, n <= 30: the largest size is solved, and every larger
+        # one is refused before the lower bound is computed.
+        assert solver.MAX_EXHAUSTIVE_N == 30
+        result = rna_exhaustive(make_cycle(30))
+        assert (result.value, result.certificate.vertices) == (2, tuple(range(15)))
+
+        def no_bound(g):
+            raise AssertionError("no lower bound may be computed")
+
+        monkeypatch.setattr(solver, "rna_lower_bound", no_bound)
+        for n in (31, 257, 512):
+            with pytest.raises(EnumerationCapError, match="n <= 30.*branch_and_bound"):
+                rna_exhaustive(make_cycle(n))
 
     def test_tiny_instances(self):
         assert rna_exhaustive(make_complete(2)).value == 1
@@ -376,9 +379,6 @@ class TestConfig:
             SolverConfig(restarts=0)
         with pytest.raises(InvalidInputError):
             SolverConfig(parallelism=0)
-        with pytest.raises(InvalidInputError, match="exhaustive_cap"):
-            SolverConfig(exhaustive_cap=-1)
-        assert SolverConfig(exhaustive_cap=0).exhaustive_cap == 0
         with pytest.raises(InvalidInputError, match="initial_upper_bound"):
             SolverConfig(initial_upper_bound=-1)
         assert SolverConfig(initial_upper_bound=0).initial_upper_bound == 0

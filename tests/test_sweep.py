@@ -81,6 +81,18 @@ class TestRunSweep:
         with pytest.raises(InvalidInputError, match="sweep method"):
             run_sweep((10, 12), (2, 3), method=method)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_bad_worker_count_rejected_before_any_row(self, monkeypatch, workers):
+        def no_row(*args):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(sweep, "_sweep_row", no_row)
+        with pytest.raises(InvalidInputError, match="worker count"):
+            run_sweep((10, 10), (2, 2), workers=workers)
+        # The check sits in the one map every worker count goes through.
+        with pytest.raises(InvalidInputError, match="worker count"):
+            solver._parallel_map(no_row, [], workers)
+
     def test_every_row_is_exact(self):
         # Every cell with 5 <= n <= 22: branch and bound from the d(d+1)
         # bound finds exhaustive's value and lexicographically smallest minimizer.

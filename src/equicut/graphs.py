@@ -160,14 +160,11 @@ def make_circulant(n: int, jumps: Iterable[int]) -> Graph:
         if 2 * a > n:
             raise InvalidInputError(f"jump {a} exceeds n/2 for n={n}")
         prev = a
-    rows = [0] * n
-    for i in range(n):
-        row = 0
-        for a in js:
-            row |= 1 << ((i + a) % n)
-            row |= 1 << ((i - a) % n)
-        rows[i] = row
-    return Graph(n, rows)
+    # Row i is row 0 rotated by i: vertex 0's neighbours are a and n - a.
+    row0 = 0
+    for a in js:
+        row0 |= 1 << a | 1 << (n - a)
+    return Graph(n, [rotate_mask(row0, n, i) for i in range(n)])
 
 
 def is_rotation_symmetric(g: Graph) -> bool:

@@ -31,9 +31,10 @@ for both views. Three methods are provided:
   leaf within the optimum gives the certificate a single natural-order
   search returns (see _branch_and_bound);
 * local_search - seeded multi-restart best-improvement pair swaps; each
-  move groups the outside vertices into gain-level masks, so picking the
-  best swap costs O(n) popcounts; returns an upper bound, never below the
-  optimum.
+  descent keeps every vertex's gain, and level masks of X's and of the
+  outside vertices grouped by gain, across its moves, so a swap (u, v)
+  updates O(deg u + deg v) levels and the next best swap is read from the
+  top levels; returns an upper bound, never below the optimum.
 
 Every solver reports the edge connectivity as its lower bound, computed by
 unit-capacity max-flow over bitmask residual rows from one vertex to the
@@ -349,54 +350,118 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     return _solve(g, "exhaustive", search)
 
 
-def _local_search_run(g: Graph, k: int, rng: random.Random) -> tuple[int, int]:
-    """One descent from a seeded random k-subset X by best-improvement swaps.
+def _local_search_run(
+    g: Graph, nbrs: Sequence[tuple[int, ...]], k: int, rng: random.Random
+) -> tuple[int, int]:
+    """One descent from a seeded random k-subset X by best-improvement swaps;
+    nbrs[v] is the tuple of v's neighbours.
 
     Each move takes the (u in X, v outside X) swap with the most negative
-    cut delta, gain_u + gv[v] + 2·[uv ∈ E] with gain_u = 2·|N(u) ∩ X| - deg u
-    and gv[v] = deg v - 2·|N(v) ∩ X|; ties go to the smallest u, then the
-    smallest v. The outside vertices are grouped into level masks by gv, so
-    each u finds its best v among the lowest three levels in O(1) mask
-    operations and a move costs O(n) popcounts instead of O(k·(n-k)).
+    cut delta, s[v] - s[u] + 2·[uv ∈ E] with s[w] = deg w - 2·|N(w) ∩ X|
+    (gv[v] = s[v] outside X, gain_u = -s[u] inside); ties go to the smallest
+    u, then the smallest v. s is built once per descent and kept across its
+    moves, and with it two lists of level masks indexed by s + Δ (Δ the
+    maximum degree): one for X, one for the outside vertices.
+
+    A u's best v lies in the lowest three outside levels, found in O(1)
+    mask operations. X's levels are walked from the highest non-empty one
+    down, each u in label order: every u at level i has delta >= low - i
+    (low the lowest outside level), so the walk stops once that exceeds the
+    best delta, or equals it at a u above the incumbent's. A swap (u, v)
+    moves only the neighbours of u (up 2) and of v (down 2) between levels,
+    so a move costs O(deg u + deg v) beside that walk.
     """
     adj = g.adj
-    degs = [row.bit_count() for row in adj]
     mask = 0
     for v in rng.sample(range(g.n), k):
         mask |= 1 << v
-    cut = g.cut_size(mask)
+    if not k:
+        return 0, mask
+    top_deg = max(map(len, nbrs))
+    # level[w] = s[w] + Δ and where[w] is the list holding w. Two spare
+    # levels on top, always empty: the walk reads the outside levels low + 1
+    # and low + 2, and top may start 2 high.
+    inside = [0] * (2 * top_deg + 3)
+    outside = inside[:]
+    level = []
+    where = []
+    cut = 0
+    for w, row in enumerate(adj):
+        into = (row & mask).bit_count()
+        i = len(nbrs[w]) + top_deg - 2 * into
+        if mask >> w & 1:
+            cut += len(nbrs[w]) - into
+            inside[i] |= 1 << w
+            where.append(inside)
+        else:
+            outside[i] |= 1 << w
+            where.append(outside)
+        level.append(i)
+    top = 2 * top_deg
+    low = 0
     while True:
-        levels: dict[int, int] = {}
-        for v in iter_bits(g.full_mask & ~mask):
-            level = degs[v] - 2 * (adj[v] & mask).bit_count()
-            levels[level] = levels.get(level, 0) | (1 << v)
-        low = min(levels)
-        l0, l1, l2 = levels[low], levels.get(low + 1, 0), levels.get(low + 2, 0)
+        while not inside[top]:
+            top -= 1
+        while not outside[low]:
+            low += 1
+        l0, l1, l2 = outside[low], outside[low + 1], outside[low + 2]
         best_delta = 0
-        best_swap = None
-        for u in iter_bits(mask):
-            row_u = adj[u]
-            gain_u = 2 * (row_u & mask).bit_count() - degs[u]
-            if gain_u + low >= best_delta:
-                continue
-            # A neighbour of u costs 2 more; l0 is nonempty, so the best v
-            # sits at level low, low + 1 or (all of l0 adjacent) low + 2.
-            cand = l0 & ~row_u
-            delta = gain_u + low
-            if not cand:
-                cand = l1 & ~row_u
-                delta += 1
+        best_u = -1
+        i = top
+        # Every u at level i has delta >= low - i, and low >= 0.
+        while low - i <= best_delta:
+            d = low - i
+            xs = inside[i]
+            while xs:
+                u = (xs & -xs).bit_length() - 1
+                if d == best_delta and u > best_u:
+                    break
+                xs ^= 1 << u
+                row_u = adj[u]
+                # A neighbour of u costs 2 more; l0 is nonempty, so the best v
+                # sits at level low, low + 1 or (all of l0 adjacent) low + 2.
+                cand = l0 & ~row_u
+                delta = d
                 if not cand:
-                    cand = (l2 & ~row_u) | l0
+                    cand = l1 & ~row_u
                     delta += 1
-            if delta < best_delta:
-                best_delta = delta
-                best_swap = (u, (cand & -cand).bit_length() - 1)
-        if best_swap is None:
+                    if not cand:
+                        cand = (l2 & ~row_u) | l0
+                        delta += 1
+                if delta < best_delta or (delta == best_delta and u < best_u):
+                    best_delta = delta
+                    best_u = u
+                    best_cand = cand
+            i -= 1
+        if best_u < 0:
             return cut, mask
-        u, v = best_swap
+        u = best_u
+        v = (best_cand & -best_cand).bit_length() - 1
         cut += best_delta
-        mask = (mask ^ (1 << u)) | (1 << v)
+        for w in nbrs[u]:
+            i = level[w]
+            side = where[w]
+            side[i] ^= 1 << w
+            side[i + 2] |= 1 << w
+            level[w] = i + 2
+        for w in nbrs[v]:
+            i = level[w]
+            side = where[w]
+            side[i] ^= 1 << w
+            side[i - 2] |= 1 << w
+            level[w] = i - 2
+        i = level[u]
+        inside[i] ^= 1 << u
+        outside[i] |= 1 << u
+        where[u] = outside
+        i = level[v]
+        outside[i] ^= 1 << v
+        inside[i] |= 1 << v
+        where[v] = inside
+        mask ^= 1 << u | 1 << v
+        # Only the neighbours of u rose, by 2, and only those of v fell.
+        top = max(top + 2, level[v])
+        low = max(min(low - 2, level[u]), 0)
 
 
 def _restart_seed(base: int, index: int) -> int:
@@ -406,9 +471,11 @@ def _restart_seed(base: int, index: int) -> int:
 def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
     """Best of cfg.restarts seeded runs, one task per restart: restart r
     always starts from random.Random(_restart_seed(cfg.rng_seed, r)), so the
-    worker count only decides where the runs execute."""
+    worker count only decides where the runs execute. The neighbour tuples
+    are built once here and carried in every task."""
     k = g.n // 2
-    tasks = [(g, k, random.Random(_restart_seed(cfg.rng_seed, r))) for r in range(cfg.restarts)]
+    nbrs = tuple(tuple(iter_bits(row)) for row in g.adj)
+    tasks = [(g, nbrs, k, random.Random(_restart_seed(cfg.rng_seed, r))) for r in range(cfg.restarts)]
     return reduce(_merge, _parallel_map(_local_search_run, tasks, cfg.parallelism))
 
 

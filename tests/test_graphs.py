@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import tracemalloc
 
@@ -100,6 +101,24 @@ class TestCirculant:
     def test_vertex_transitive_shape(self):
         assert is_rotation_symmetric(make_circulant(11, (2, 3)))
         assert is_rotation_symmetric(make_cycle_power(10, 3))
+
+    def test_rows_match_networkx(self):
+        # Seeded jump sets with n <= 64, half of the even n with a jump of n/2.
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(3131)
+        half_jumps = 0
+        for _ in range(300):
+            n = rng.randint(3, 64)
+            jumps = set(rng.sample(range(1, (n + 1) // 2), rng.randint(1, min(4, (n - 1) // 2))))
+            if n % 2 == 0 and rng.random() < 0.5:
+                jumps.add(n // 2)
+            jumps = sorted(jumps)
+            if math.gcd(n, *jumps) != 1:
+                continue
+            half_jumps += 2 * jumps[-1] == n
+            want = sorted(tuple(sorted(e)) for e in nx.circulant_graph(n, jumps).edges())
+            assert make_circulant(n, jumps).edges() == want, (n, jumps)
+        assert half_jumps >= 30
 
     def test_rejects_bad_jump_sets(self):
         with pytest.raises(InvalidInputError):

@@ -9,6 +9,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from equicut import (
     DisconnectedGraphError,
@@ -28,6 +29,7 @@ from equicut import (
     rna_lower_bound,
 )
 from equicut import run_sweep, solver
+from equicut.bitset import iter_bits
 from equicut.graphs import is_rotation_symmetric
 from equicut.verify import random_circulant, random_connected_graph
 
@@ -37,6 +39,20 @@ from oracles import (
     min_equicut_naive,
     min_st_cut_naive,
 )
+
+
+@st.composite
+def descents(draw):
+    """(graph, seed) for one local-search descent: n = 1..70, sometimes with
+    a hub joined to every other vertex, whose degree n - 1 spreads the
+    levels wide and leaves most of them empty."""
+    n = draw(st.integers(1, 70))
+    p = draw(st.sampled_from([0.0, 0.05, 0.15, 0.5]))
+    edges = set(random_connected_graph(random.Random(draw(st.integers(0, 2**32))), n, p).edges())
+    if draw(st.booleans()):
+        hub = draw(st.integers(0, n - 1))
+        edges |= {(min(hub, v), max(hub, v)) for v in range(n) if v != hub}
+    return graph_from_edges(n, sorted(edges)), draw(st.integers(0, 2**16))
 
 
 def small_corpus(seed, count=40, n_max=10):
@@ -269,10 +285,30 @@ class TestLocalSearch:
         ]
         for g in graphs:
             edges = g.edges()
+            nbrs = tuple(tuple(iter_bits(row)) for row in g.adj)
             for seed in range(5):
-                got = solver._local_search_run(g, g.n // 2, random.Random(seed))
+                got = solver._local_search_run(g, nbrs, g.n // 2, random.Random(seed))
                 want = local_search_run_scan(g.n, edges, g.n // 2, random.Random(seed))
                 assert got == want, (g.n, seed)
+
+    @settings(max_examples=120, deadline=None)
+    @given(descents())
+    @example((make_complete(1), 0))
+    @example((make_complete(2), 0))
+    @example((graph_from_edges(69, [(0, v) for v in range(1, 69)]), 3))
+    def test_descent_matches_pair_scan(self, case):
+        g, seed = case
+        nbrs = tuple(tuple(iter_bits(row)) for row in g.adj)
+        got = solver._local_search_run(g, nbrs, g.n // 2, random.Random(seed))
+        assert got == local_search_run_scan(g.n, g.edges(), g.n // 2, random.Random(seed))
+
+    def test_neighbour_tuples_reach_pool_workers(self):
+        # Each task carries the neighbour tuples; a pool worker unpickles them.
+        g = random_connected_graph(random.Random(808), 80, 0.08)
+        cfg = SolverConfig(restarts=6, rng_seed=17)
+        one = rna_local_search(g, cfg)
+        two = rna_local_search(g, replace(cfg, parallelism=2))
+        assert (one.value, one.certificate) == (two.value, two.certificate)
 
 
 class TestEdgeConnectivity:

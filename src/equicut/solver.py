@@ -9,8 +9,9 @@ for both views. Three methods are provided:
   shape) says whether the vertex is in the block's j-th subset in
   lexicographic order, the cut sizes are bit-sliced counter planes summed
   over the edges from the XORs of their endpoints' planes, and the
-  lexicographically smallest minimizer is the lowest bit left when the
-  minimum is read from the top counter plane down. One n = 30 solve peaks
+  lexicographically smallest minimizer is the lowest bit j left when the
+  minimum is read from the top counter plane down, its members the
+  vertices whose planes have bit j set. One n = 30 solve peaks
   near 2 MB (tracemalloc). On rotation-symmetric graphs it scores only the
   subsets holding {0, 1}, plus the evens set (PROOF.md, Lemma P);
 * branch_and_bound - assigns vertices to sides with running capacities and
@@ -221,21 +222,6 @@ def _planes(n: int, k: int) -> tuple[int, ...]:
     return ((1 << head) - 1,) + tuple(a | b << head for a, b in zip(with_0, without_0))
 
 
-def _unrank(j: int, n: int, k: int) -> int:
-    """The j-th k-subset of range(n) in lexicographic order, as a mask."""
-    mask = 0
-    v = 0
-    while k:
-        head = comb(n - v - 1, k - 1)  # the subsets whose next member is v
-        if j < head:
-            mask |= 1 << v
-            k -= 1
-        else:
-            j -= head
-        v += 1
-    return mask
-
-
 def _min_equicut_block(g: Graph, pinned: int, lo: int, k: int) -> tuple[int, int]:
     """Best (cut, mask) over subsets X = pinned + (k - |pinned|) vertices >= lo,
     the pinned vertices all below lo.
@@ -248,9 +234,10 @@ def _min_equicut_block(g: Graph, pinned: int, lo: int, k: int) -> tuple[int, int
     and these are summed by ripple-carry into bit-sliced counter planes;
     edges with both ends below lo add the same to every subset and are
     counted once. The minimum is read from the top counter plane down; the
-    lowest subset left is the lexicographically smallest minimizer, found by
-    unranking. A block of more than _BLOCK_SUBSETS subsets is split on
-    whether lo is in X, the subsets holding it first.
+    lowest subset j left is the lexicographically smallest minimizer, read
+    straight from the planes as the vertices whose bit j is set. A block of
+    more than _BLOCK_SUBSETS subsets is split on whether lo is in X, the
+    subsets holding it first.
     """
     extra = k - pinned.bit_count()
     universe = g.n - lo
@@ -293,7 +280,10 @@ def _min_equicut_block(g: Graph, pinned: int, lo: int, k: int) -> tuple[int, int
             left = low
         else:
             value += 1 << i
-    return value, pinned | _unrank((left & -left).bit_length() - 1, universe, extra) << lo
+    # The lowest subset left holds exactly the vertices whose planes have its
+    # bit set: pinned planes are all ones, the other planes below lo zero.
+    first = left & -left
+    return value, sum(1 << v for v, pv in enumerate(planes) if pv & first)
 
 
 def _pin_zero(g: Graph) -> bool:
@@ -350,11 +340,9 @@ def rna_exhaustive(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
     return _solve(g, "exhaustive", search)
 
 
-def _local_search_run(
-    g: Graph, nbrs: Sequence[tuple[int, ...]], k: int, rng: random.Random
-) -> tuple[int, int]:
-    """One descent from a seeded random k-subset X by best-improvement swaps;
-    nbrs[v] is the tuple of v's neighbours.
+def _local_search_run(g: Graph, nbrs: Sequence[tuple[int, ...]], k: int, seed: int) -> tuple[int, int]:
+    """One descent by best-improvement swaps from the random k-subset X that
+    random.Random(seed) samples; nbrs[v] is the tuple of v's neighbours.
 
     Each move takes the (u in X, v outside X) swap with the most negative
     cut delta, s[v] - s[u] + 2·[uv ∈ E] with s[w] = deg w - 2·|N(w) ∩ X|
@@ -373,7 +361,7 @@ def _local_search_run(
     """
     adj = g.adj
     mask = 0
-    for v in rng.sample(range(g.n), k):
+    for v in random.Random(seed).sample(range(g.n), k):
         mask |= 1 << v
     if not k:
         return 0, mask
@@ -469,13 +457,14 @@ def _restart_seed(base: int, index: int) -> int:
 
 
 def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
-    """Best of cfg.restarts seeded runs, one task per restart: restart r
-    always starts from random.Random(_restart_seed(cfg.rng_seed, r)), so the
-    worker count only decides where the runs execute. The neighbour tuples
-    are built once here and carried in every task."""
+    """Best of cfg.restarts seeded runs, one task per restart: restart r's
+    task carries the seed _restart_seed(cfg.rng_seed, r), not a generator,
+    so a task stays a few bytes until it runs and the worker count only
+    decides where the runs execute. The neighbour tuples are built once here
+    and carried in every task."""
     k = g.n // 2
     nbrs = tuple(tuple(iter_bits(row)) for row in g.adj)
-    tasks = [(g, nbrs, k, random.Random(_restart_seed(cfg.rng_seed, r))) for r in range(cfg.restarts)]
+    tasks = [(g, nbrs, k, _restart_seed(cfg.rng_seed, r)) for r in range(cfg.restarts)]
     return reduce(_merge, _parallel_map(_local_search_run, tasks, cfg.parallelism))
 
 

@@ -9,7 +9,6 @@ from equicut.bitset import (
     revolving_door_swaps,
     rotate_mask,
     subset_precedes,
-    swap_chunks,
 )
 
 from oracles import revolving_door_walks
@@ -59,22 +58,3 @@ def test_revolving_door_visits_every_subset_once(n):
 def test_revolving_door_matches_recursive_oracle(n):
     for k, walk in enumerate(revolving_door_walks(n)):
         assert list(revolving_door_swaps(n, k)) == walk
-
-
-@pytest.mark.parametrize("n,k", [(9, 4), (18, 9), (21, 8)])
-def test_reversed_chunks_walk_back(n, k):
-    forward = [(e, l) for es, ls in swap_chunks(n, k) for e, l in zip(es, ls)]
-    backward = [(e, l) for es, ls in swap_chunks(n, k, reverse=True) for e, l in zip(es, ls)]
-    assert backward == [(l, e) for e, l in reversed(forward)]
-
-
-def test_walk_above_chunk_size_visits_every_subset_once():
-    n, k = 20, 10
-    assert len(list(swap_chunks(n, k))) > 1
-    mask = (1 << k) - 1
-    seen = {mask}
-    for enter, leave in revolving_door_swaps(n, k):
-        assert (mask >> leave) & 1 and not (mask >> enter) & 1
-        mask ^= (1 << leave) | (1 << enter)
-        seen.add(mask)
-    assert len(seen) == comb(n, k) == 184_756

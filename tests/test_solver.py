@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
@@ -29,7 +30,7 @@ from equicut import (
     rna_lower_bound,
 )
 from equicut import run_sweep, solver
-from equicut.bitset import iter_bits
+from equicut.bitset import iter_bits, mask_from_vertices
 from equicut.graphs import is_rotation_symmetric
 from equicut.verify import random_circulant, random_connected_graph
 
@@ -149,8 +150,6 @@ class TestExhaustive:
             assert len(planes) == n
             for v, plane in enumerate(planes):
                 assert plane == sum(1 << j for j, sub in enumerate(subsets) if v in sub), (n, k, v)
-            for j, sub in enumerate(subsets):
-                assert solver._unrank(j, n, k) == sum(1 << v for v in sub)
 
     def test_narrow_blocks_split_and_merge_to_the_naive_minimizer(self, monkeypatch):
         # With blocks of at most 8 subsets nearly every block splits, many
@@ -166,6 +165,26 @@ class TestExhaustive:
         for g in graphs:
             result = rna_exhaustive(g)
             assert (result.value, result.certificate.vertices) == min_equicut_naive(g.n, g.edges())
+
+    @pytest.mark.parametrize("block_subsets", [solver._BLOCK_SUBSETS, 8])
+    def test_block_reads_the_first_minimizer_from_its_planes(self, monkeypatch, block_subsets):
+        # Some vertices below lo are neither pinned nor in X; with blocks of
+        # at most 8 subsets most blocks split before they are scored.
+        monkeypatch.setattr(solver, "_BLOCK_SUBSETS", block_subsets)
+        rng = random.Random(3434)
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            g = random_connected_graph(rng, n, rng.choice((0.0, 0.2, 0.5)))
+            k = rng.randint(0, n)
+            lo = rng.randint(0, n)
+            pinned = mask_from_vertices(rng.sample(range(lo), rng.randint(max(0, k - n + lo), min(k, lo))))
+            best = None
+            for sub in combinations(range(lo, n), k - pinned.bit_count()):
+                x = pinned | mask_from_vertices(sub)
+                cut = sum((g.adj[u] & ~x).bit_count() for u in iter_bits(x))
+                if best is None or cut < best[0]:
+                    best = (cut, x)
+            assert solver._min_equicut_block(g, pinned, lo, k) == best, (g.edges(), pinned, lo, k)
 
     def test_three_vertex_path(self):
         # Odd, not rotation-symmetric and k = 1: three one-subset blocks.
@@ -287,7 +306,7 @@ class TestLocalSearch:
             edges = g.edges()
             nbrs = tuple(tuple(iter_bits(row)) for row in g.adj)
             for seed in range(5):
-                got = solver._local_search_run(g, nbrs, g.n // 2, random.Random(seed))
+                got = solver._local_search_run(g, nbrs, g.n // 2, seed)
                 want = local_search_run_scan(g.n, edges, g.n // 2, random.Random(seed))
                 assert got == want, (g.n, seed)
 
@@ -299,8 +318,19 @@ class TestLocalSearch:
     def test_descent_matches_pair_scan(self, case):
         g, seed = case
         nbrs = tuple(tuple(iter_bits(row)) for row in g.adj)
-        got = solver._local_search_run(g, nbrs, g.n // 2, random.Random(seed))
+        got = solver._local_search_run(g, nbrs, g.n // 2, seed)
         assert got == local_search_run_scan(g.n, g.edges(), g.n // 2, random.Random(seed))
+
+    def test_restart_tasks_stay_small(self):
+        # Each queued task carries its restart's seed; a seeded random.Random
+        # per task would hold about 3 KB each, 15 MB here, before any descent.
+        tracemalloc.start()
+        try:
+            rna_local_search(make_cycle_power(10, 2), SolverConfig(restarts=5000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
     def test_neighbour_tuples_reach_pool_workers(self):
         # Each task carries the neighbour tuples; a pool worker unpickles them.
@@ -445,11 +475,7 @@ class TestTaskList:
         parallel_map = solver._parallel_map
 
         def recording(fn, tasks, workers):
-            # A Random is compared by its state: two copies are never equal.
-            calls.append([
-                (fn,) + tuple(x.getstate() if isinstance(x, random.Random) else x for x in task)
-                for task in tasks
-            ])
+            calls.append([(fn, *task) for task in tasks])
             return parallel_map(fn, tasks, 1)
 
         monkeypatch.setattr(solver, "_parallel_map", recording)
@@ -481,7 +507,7 @@ class TestTaskList:
         calls = self.record_tasks(monkeypatch)
         results = [rna_local_search(g, SolverConfig(restarts=7, rng_seed=3, parallelism=w)) for w in (1, 4)]
         assert calls[0] == calls[1]
-        assert len(calls[0]) == 7
+        assert [t[-1] for t in calls[0]] == [solver._restart_seed(3, r) for r in range(7)]
         assert results[0].certificate == results[1].certificate
 
 

@@ -63,13 +63,15 @@ def _family_spec(args: argparse.Namespace) -> GraphFamilySpec:
     return GraphFamilySpec(family=family, n=args.n, d=args.d, jumps=jumps)
 
 
-def _require_parent_dir(path: str | None) -> None:
-    """Fail (exit 5) before any work when an output file cannot be created."""
+def _require_parent_dir(path: str | None, new_dir: str | None = None) -> None:
+    """Fail (exit 5) before any work when an output file cannot be created
+    once new_dir, if given, is made with its parents."""
     if path is None:
         return
-    if Path(path).is_dir():
+    made = [] if new_dir is None else [Path(new_dir).resolve(), *Path(new_dir).resolve().parents]
+    if Path(path).is_dir() or Path(path).resolve() in made:
         raise IsADirectoryError(f"output file {path!r} is a directory")
-    if not Path(path).parent.is_dir():
+    if not (Path(path).parent.is_dir() or Path(path).parent.resolve() in made):
         raise FileNotFoundError(f"no such directory for output file {path!r}")
 
 
@@ -138,9 +140,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "paper" and args.n_max is not None:
         raise InvalidInputError("--n-max applies to the formulas and solvers suites only")
-    if args.suite == "paper" and args.out_dir is not None:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-    _require_parent_dir(args.json)
+    paper_dir = args.out_dir if args.suite == "paper" else None
+    _require_parent_dir(args.json, paper_dir)  # first, so a bad --json leaves no directory
+    if paper_dir is not None:
+        Path(paper_dir).mkdir(parents=True, exist_ok=True)
     # Without --n-max each suite keeps its own default range.
     n_max = {} if args.n_max is None else {"n_max": args.n_max}
     if args.suite == "paper":

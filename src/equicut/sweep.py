@@ -103,14 +103,13 @@ def run_sweep(
     """
     if method != "auto":
         raise InvalidInputError(f"sweep method must be 'auto', got {method!r}")
-    grid = [
-        (n, d)
-        for n in range(n_range[0], n_range[1] + 1)
-        for d in range(d_range[0], d_range[1] + 1)
-        if 2 <= d < n // 2
-    ]
-    if grid:
-        check_vertex_count(grid[-1][0])  # the largest n: reject the grid before any row runs
+    d_min = max(d_range[0], 2)
+    # n = 2d + 2 is the least n with d < n // 2; an empty d range has no n.
+    n_min = max(n_range[0], 2 * d_min + 2) if d_min <= d_range[1] else n_range[1] + 1
+    if n_min <= n_range[1]:
+        check_vertex_count(n_range[1])  # the largest n has a cell: reject the grid before any row runs
+    grid = [(n, d) for n in range(n_min, n_range[1] + 1)
+            for d in range(d_min, min(d_range[1], n // 2 - 1) + 1)]
     return _parallel_map(_sweep_row, grid, workers)
 
 

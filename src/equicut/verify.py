@@ -8,9 +8,9 @@ detail); the `_check` decorator times it and turns it into a CheckResult,
 which passes when there are no failures, counts them in the detail and keeps
 the first 20. The CLI and the test suite share these checks.
 
-run_paper_suite runs checks 1 and 5-8 and the check-2 solve table, one job
-per n, concurrently on the solver's shared pool, then checks 2-4 on the
-merged table and check 9 last, on the same pool.
+run_paper_suite runs checks 1 and 5-8 and the check-2 solve table as six
+concurrent jobs on the solver's shared pool, then checks 2-4 on the table
+and check 9 last, on the same pool.
 """
 
 from __future__ import annotations
@@ -151,15 +151,8 @@ def solver_corpus(rng: random.Random, n_max: int = 14) -> list[tuple[str, Graph]
 
 def solve_cycle_power_table(n_max: int = 22) -> dict[tuple[int, int], SolveResult]:
     """Exact values of every cycle power with 5 <= n <= n_max, 2 <= d < floor(n/2)."""
-    table: dict[tuple[int, int], SolveResult] = {}
-    for n in range(5, n_max + 1):
-        table.update(_cycle_power_row(n))
-    return table
-
-
-def _cycle_power_row(n: int) -> dict[tuple[int, int], SolveResult]:
-    """The table entries for one n."""
-    return {(n, d): rna_exhaustive(make_cycle_power(n, d)) for d in range(2, n // 2)}
+    return {(n, d): rna_exhaustive(make_cycle_power(n, d))
+            for n in range(5, n_max + 1) for d in range(2, n // 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -324,41 +317,31 @@ def check_worker_determinism():
 # suites
 
 
-def _timed_call(fn, *args):
-    """(fn(*args), seconds it took), for a gate job run wherever the pool puts it."""
-    start = time.perf_counter()
-    out = fn(*args)
-    return out, time.perf_counter() - start
+def _call(fn, *args):
+    return fn(*args)
 
 
 def run_paper_suite(seed: int = DEFAULT_SEED, out_dir: str | Path | None = None) -> list[CheckResult]:
     """All nine checks; the square/cube/sandwich checks share one solve table.
 
-    Checks 1 and 5-8 and the table rows, one per n, are independent jobs on
-    at most _GATE_WORKERS processes. They are sent one at a time, longest
-    first as measured alone on a 2-vCPU host (checks 5-7 at 120-170 ms
-    each, then rows 22 down to 5 at 30 ms and less, then checks 8 and 1 at
-    15 ms and less), so no process is left with a long job at the end. Each
-    check times itself where it runs; check 2 is charged the summed row
-    times.
+    Checks 5, 6 and 7, the table, check 8 and check 1 are six independent
+    jobs on at most _GATE_WORKERS processes, sent one at a time in that
+    order, longest first as measured alone on a 2-vCPU host (checks 5-7
+    near 100 ms each, the table 75 ms, checks 8 and 1 under 10 ms), so no
+    process is left with a long job at the end. Each check times itself
+    where it runs; check 2 is charged the table's summed solve times.
     """
-    longest = [
+    jobs = [
         (check_formula_identities, 60),
         (check_solver_agreement, seed),
         (check_parity_machinery, 1000, seed),
+        (solve_cycle_power_table, 22),
+        (check_conjecture_sweep, out_dir, seed),
+        (check_known_values,),
     ]
-    rows = [(_cycle_power_row, n) for n in range(22, 4, -1)]
-    shortest = [(check_conjecture_sweep, out_dir, seed), (check_known_values,)]
-    outs = _parallel_map(_timed_call, longest + rows + shortest, _GATE_WORKERS)
-    (formulas, _), (agreement, _), (parity, _) = outs[:3]
-    (sweep, _), (known, _) = outs[-2:]
-    table: dict[tuple[int, int], SolveResult] = {}
-    table_s = 0.0
-    for part, seconds in outs[3:-2]:
-        table.update(part)
-        table_s += seconds
+    formulas, agreement, parity, table, sweep, known = _parallel_map(_call, jobs, _GATE_WORKERS)
     square = check_square_powers(table)
-    square.elapsed_ms += table_s * 1000.0
+    square.elapsed_ms += sum(r.elapsed for r in table.values()) * 1000.0
     return [
         known,
         square,

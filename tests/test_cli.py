@@ -780,6 +780,35 @@ class TestVerify:
         assert out == ""
         assert "is a directory" in err
 
+    def test_missing_json_dir_exits_5_before_the_out_dir_is_made(self, capsys, tmp_path, monkeypatch):
+        from equicut import cli
+
+        def fake_suite(seed, out_dir):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(cli, "run_paper_suite", fake_suite)
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "paper",
+            "--out-dir", str(out_dir), "--json", str(tmp_path / "missing" / "r.json"),
+        )
+        assert code == 5
+        assert out == ""
+        assert "i/o" in err
+        assert not out_dir.exists()
+
+    def test_json_path_that_is_the_new_out_dir_exits_5(self, capsys, tmp_path, monkeypatch):
+        from equicut import cli
+
+        monkeypatch.setattr(cli, "run_paper_suite", lambda seed, out_dir: [])
+        out_dir = tmp_path / "new"
+        code, _, err = run_cli(
+            capsys, "verify", "--suite", "paper", "--out-dir", str(out_dir), "--json", str(out_dir),
+        )
+        assert code == 5
+        assert "is a directory" in err
+        assert not out_dir.exists()
+
     def test_json_report_may_go_in_the_new_out_dir(self, capsys, tmp_path, monkeypatch):
         from equicut import cli
 

@@ -1,5 +1,7 @@
 import csv
 import json
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -23,6 +25,22 @@ from oracles import branch_and_bound_scan
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"not done within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestComputeRow:
@@ -71,6 +89,20 @@ class TestRunSweep:
         assert keys == sorted(keys)
         assert all(2 <= d < n // 2 for n, d in keys)
         assert (8, 2) in keys and (12, 4) in keys and (8, 4) not in keys
+
+    def test_oversized_top_n_rejected_without_walking_the_grid(self, monkeypatch):
+        def no_row(*args):
+            raise AssertionError("no row may be solved")
+
+        monkeypatch.setattr(sweep, "_sweep_row", no_row)
+        with deadline(1.0), pytest.raises(InvalidInputError, match="vertex count 1000000000"):
+            run_sweep((10, 10**9), (4, 5))
+
+    def test_huge_d_max_walks_only_the_cells(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_sweep_row", lambda n, d: (n, d))
+        with deadline(1.0):
+            cells = run_sweep((10, 12), (4, 10**12))
+        assert cells == [(10, 4), (11, 4), (12, 4), (12, 5)]
 
     @pytest.mark.parametrize("method", ["local_search", "exhaustive", "branch_and_bound"])
     def test_non_auto_method_rejected_before_any_row(self, monkeypatch, method):

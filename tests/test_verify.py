@@ -1,5 +1,4 @@
 import tempfile
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,22 +61,23 @@ def test_power_check_reads_its_want_from_known_rna(monkeypatch):
 
 
 def test_square_check_is_charged_the_table_time(monkeypatch):
-    # In-process, with every other check stubbed: only the table rows take time.
+    # In-process, with every other check stubbed: check 2 is charged the
+    # solve times the table's entries carry.
     monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
-    sleep_s = 0.01
-
-    def row(n):
-        time.sleep(sleep_s)
-        return {(n, d): SimpleNamespace(value=d * (d + 1)) for d in range(2, n // 2)}
+    table = {
+        (n, d): SimpleNamespace(value=d * (d + 1), elapsed=0.01)
+        for n in range(5, 23)
+        for d in range(2, n // 2)
+    }
 
     def passed(*args):
         return verify.CheckResult("stub", True, "", 0.0, [])
 
-    monkeypatch.setattr(verify, "_cycle_power_row", row)
+    monkeypatch.setattr(verify, "solve_cycle_power_table", lambda n_max: table)
     for name in ("check_known_values", "check_formula_identities", "check_solver_agreement",
                  "check_parity_machinery", "check_conjecture_sweep", "check_worker_determinism"):
         monkeypatch.setattr(verify, name, passed)
     results = verify.run_paper_suite()
     square = results[1]
     assert square.criterion == "2-square-powers" and square.passed
-    assert square.elapsed_ms >= 18 * sleep_s * 1000  # the rows for n = 5..22
+    assert square.elapsed_ms >= sum(r.elapsed for r in table.values()) * 1000  # 81 entries, 0.81 s

@@ -67,6 +67,8 @@ class Graph:
         return reached
 
     def has_edge(self, u: int, v: int) -> bool:
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InvalidInputError(f"({u}, {v}) is not a vertex pair of a graph on {self.n} vertices")
         return bool((self.adj[u] >> v) & 1)
 
     def cut_size(self, mask: int) -> int:

@@ -57,15 +57,23 @@ class ParityLabeling:
 
 
 class SignedGraph:
-    """A graph plus a +1/-1 sign per edge, stored as the set of negative edges."""
+    """A graph plus a +1/-1 sign per edge, stored as the set of negative edges.
+
+    Each negative edge must be a pair of vertices in 0..n-1 joined by an
+    edge of the graph; anything else raises InvalidInputError.
+    """
 
     __slots__ = ("graph", "neg")
 
     def __init__(self, graph: Graph, negative_edges: Iterable[Iterable[int]] = ()):
         neg = set()
         for e in negative_edges:
-            u, v = e
-            if not graph.has_edge(u, v):
+            try:
+                u, v = e
+                edge = graph.has_edge(u, v)
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"negative edge {e!r} is not a pair of vertices 0..{graph.n - 1}") from exc
+            if not edge:
                 raise InvalidInputError(f"({u}, {v}) is not an edge of the graph")
             neg.add((min(u, v), max(u, v)))
         self.graph = graph

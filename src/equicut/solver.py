@@ -38,8 +38,10 @@ for both views. Three methods are provided:
   top levels; returns an upper bound, never below the optimum.
 
 Every solver reports the edge connectivity as its lower bound, computed by
-unit-capacity max-flow over bitmask residual rows from one vertex to the
-rest of a dominating set.
+unit-capacity max-flows from vertex 0 to the rest of a greedy dominating set
+that holds it (Matula 1987), each flow a Dinic search over bitmask residual
+rows: a layered BFS, then a blocking flow walked back from the sink (Even &
+Tarjan 1975).
 
 Exhaustive search and local search each build one fixed task list (subset
 blocks, restarts) whatever the worker count, and hand it to _parallel_map;
@@ -636,6 +638,14 @@ def _search(
     between side B and the unassigned vertices. Assigning t moves only the
     levels of later[t], its neighbours above t, until the branch returns.
 
+    Each child is decided at its parent: the parent checks the child's table
+    key, moves later[t]'s levels to the child's side and computes the
+    child's bound there, and recurses only into a child that survives; a
+    surviving leaf is taken in place. When both sides are tried the levels
+    move +1, -2, +1 (or -1, +2, -1) in all, and not at all when no child
+    gets past the table. The root's bound is checked once, before the DFS.
+    So the bound is still computed once per node that passes the table.
+
     A dominance table, kept for one pass, skips nodes whose completions an
     earlier node has already tried. The frontier of depth t is the set of
     vertices below t with a neighbour at t or above, and a node's key is
@@ -669,61 +679,76 @@ def _search(
     level = [max_deg] * n
     hist = [0] * (2 * max_deg + 1)
     hist[max_deg] = n
+    # The root has no table key (frontier[0] is empty) and is never a leaf.
+    if _completion_bound(hist, max_deg, 0, cap_b, n, inner[0]) >= limit:
+        return None
     # The least cur reached so far with each key (t, ca, amask & frontier[t]).
     seen = {}
 
     def dfs(t: int, amask: int, ca: int, cb: int, cur: int, tb: int) -> None:
+        # A node below the limit with t < n: decide its children here.
         nonlocal limit, best
-        front = frontier[t]
-        if front >= 0:
-            key = (t, ca, amask & front)
-            prev = seen.get(key)
-            if prev is not None and prev <= cur:
-                return
-            seen[key] = cur
-        # No unassigned vertex has more than cb neighbours on side B.
-        lo = max_deg - cb if cb < max_deg else 0
-        if cur + _completion_bound(hist, lo, tb, cap_b - cb, n - t, inner[t]) >= limit:
-            return
-        if t == n:
-            limit = cur
-            best = (cur, amask)
-            if first_leaf:
-                raise _FirstLeaf
-            return
         lt = level[t]
         hist[lt] -= 1
         into_a = (adj[t] & amask).bit_count()
         into_b = into_a + max_deg - lt  # level[t] = into_a - into_b + Δ
-        # (cost, side) with side A = 0, so ties try A first.
-        branches = []
-        if ca < cap_a and not pin_b >> t & 1:
-            branches.append((into_b, 0))
-        if cb < cap_b and not pin_a >> t & 1:
-            branches.append((into_a, 1))
         nbrs = later[t]
-        for cost, side in sorted(branches):
-            step = 1 - 2 * side
-            for u in nbrs:
-                lu = level[u]
-                hist[lu] -= 1
-                hist[lu + step] += 1
-                level[u] = lu + step
-            if side == 0:
-                dfs(t + 1, amask | (1 << t), ca + 1, cb, cur + cost, tb - into_b)
+        front = frontier[t + 1]
+        free = n - t - 1
+        shift = 0  # how far later[t]'s levels have moved
+        # The cheaper side first, ties to side A = 0.
+        first = int(into_a < into_b)
+        for side in (first, 1 - first):
+            if side:
+                if cb == cap_b or pin_a >> t & 1:
+                    continue
+                c_amask, c_ca, c_cb = amask, ca, cb + 1
+                c_cur, c_tb = cur + into_a, tb - into_b + len(nbrs)
             else:
-                dfs(t + 1, amask, ca, cb + 1, cur + cost, tb - into_b + len(nbrs))
+                if ca == cap_a or pin_b >> t & 1:
+                    continue
+                c_amask, c_ca, c_cb = amask | 1 << t, ca + 1, cb
+                c_cur, c_tb = cur + into_b, tb - into_b
+            if front >= 0:
+                key = (t + 1, c_ca, c_amask & front)
+                prev = seen.get(key)
+                if prev is not None and prev <= c_cur:
+                    continue
+                seen[key] = c_cur
+            step = 1 - 2 * side
+            move = step - shift
+            shift = step
             for u in nbrs:
                 lu = level[u]
                 hist[lu] -= 1
-                hist[lu - step] += 1
-                level[u] = lu - step
+                hist[lu + move] += 1
+                level[u] = lu + move
+            # No unassigned vertex has more than c_cb neighbours on side B.
+            lo = max_deg - c_cb if c_cb < max_deg else 0
+            if c_cur + _completion_bound(hist, lo, c_tb, cap_b - c_cb, free, inner[t + 1]) >= limit:
+                continue
+            if free:
+                dfs(t + 1, c_amask, c_ca, c_cb, c_cur, c_tb)
+                continue
+            limit = c_cur
+            best = (c_cur, c_amask)
+            if first_leaf:
+                raise _FirstLeaf
+        if shift:
+            for u in nbrs:
+                lu = level[u]
+                hist[lu] -= 1
+                hist[lu - shift] += 1
+                level[u] = lu - shift
         hist[lt] += 1
 
     try:
         dfs(0, 0, 0, 0, 0, 0)
     except _FirstLeaf:
         pass
+    # dfs refers to itself through its closure. Breaking that cycle frees the
+    # table now, not at a cyclic collection that may come passes later.
+    del dfs
     return best
 
 
@@ -770,20 +795,30 @@ def _rows_connectivity(adj: Sequence[int]) -> int:
     """Edge connectivity of the graph with adjacency rows adj on vertices
     0..len(adj)-1; 0 when it is disconnected or has fewer than 2 vertices.
 
-    Max-flows run from vertex 0 to the other members of a dominating set,
-    each capped at the least cut found so far (at first the minimum degree
-    δ). That suffices (Matula 1987): a cut of fewer than δ edges has more
-    than δ vertices on each side, so each side holds a vertex with no cut
-    edge, and that vertex or a neighbour, all on its side, is in the set.
-    The set is built greedily: vertex 0, then the lowest vertex not yet
-    dominated, until none is left.
+    Max-flows run from vertex 0 to the other members of a dominating set
+    that holds 0, each capped at the least cut found so far (at first the
+    minimum degree δ). Any such set suffices (Matula 1987): a side S of a
+    cut of fewer than δ edges has more than δ vertices (otherwise at least
+    |S|(δ - |S| + 1) >= δ edges leave it), so it holds a vertex with no cut
+    edge; that vertex and its neighbours all lie in S, and one of them is in
+    the set. So both sides hold a member, one of them vertex 0, and the flow
+    from 0 to a member on the other side is at most the cut.
+
+    The set is built greedily from vertex 0: while a vertex is undominated,
+    the lowest such u adds the vertex of N[u] that dominates the most
+    undominated vertices, ties to the lowest. Picking from N[u] alone keeps
+    each pick cheap and still dominates u.
     """
     if len(adj) < 2:
         return 0
     best = min(row.bit_count() for row in adj)
     undominated = ((1 << len(adj)) - 1) & ~(adj[0] | 1)
     while undominated:
-        target = (undominated & -undominated).bit_length() - 1
+        low = undominated & -undominated
+        target = max(
+            iter_bits(adj[low.bit_length() - 1] | low),
+            key=lambda w: ((adj[w] | 1 << w) & undominated).bit_count(),
+        )
         best = min(best, _max_flow_unit(adj, 0, target, best))
         undominated &= ~(adj[target] | (1 << target))
     return best
@@ -820,9 +855,14 @@ def _max_flow_unit(adj: Sequence[int], s: int, t: int, stop_at: int) -> int:
     The residual graph is kept as bitmask rows: out[u] holds the v with a
     residual arc u -> v and into[v] the u with one. A unit sent u -> v over
     an edge already carrying v -> u cancels it; otherwise it uses up the arc
-    u -> v. Each augmenting path is a shortest one: a layered BFS ORs the
-    out-rows of each frontier under a seen mask, and the path is walked back
-    from t through into-rows, one layer at a time.
+    u -> v. Each phase is one of Dinic's: a layered BFS ORs the out-rows of
+    each frontier under a seen mask, then a blocking flow on the layers
+    (Even & Tarjan, SIAM J. Comput. 4(4), 1975, for unit capacities). The
+    walk goes back from t, each step to the lowest vertex of the layer
+    before that still has a residual arc into the current one; a vertex with
+    none is dropped from its layer and the walk steps back. Reaching s sends
+    one unit along the walk and restarts it from t; the phase ends when t
+    has no predecessor left.
     """
     out = list(adj)
     into = list(adj)
@@ -840,18 +880,33 @@ def _max_flow_unit(adj: Sequence[int], s: int, t: int, stop_at: int) -> int:
             seen |= frontier
         if not frontier:
             break
-        v = t
-        for layer in reversed(layers):
-            pred = layer & into[v]
+        # walk[-1] sits in layer len(layers) + 1 - len(walk), t past the last.
+        walk = [t]
+        while walk:
+            v = walk[-1]
+            i = len(layers) - len(walk)
+            pred = layers[i] & into[v]
+            if not pred:
+                walk.pop()
+                if walk:
+                    layers[i + 1] ^= 1 << v
+                continue
             u = (pred & -pred).bit_length() - 1
-            if (out[v] >> u) & 1:
-                out[u] ^= 1 << v
-                into[v] ^= 1 << u
-            else:
-                out[v] |= 1 << u
-                into[u] |= 1 << v
-            v = u
-        flow += 1
+            if i:
+                walk.append(u)
+                continue
+            for v in reversed(walk):
+                if (out[v] >> u) & 1:
+                    out[u] ^= 1 << v
+                    into[v] ^= 1 << u
+                else:
+                    out[v] |= 1 << u
+                    into[u] |= 1 << v
+                u = v
+            flow += 1
+            if flow == stop_at:
+                return flow
+            walk = [t]
     return flow
 
 

@@ -173,6 +173,22 @@ class TestSwitching:
             switch_vertices(SignedGraph(make_cycle(4)), (4,))
 
 
+class TestSignedGraph:
+    @pytest.mark.parametrize("entry", [(-1, 0), (7, 0), (0, -1), (0, 1, 2), (1.0, 2), ("0", 1), 5])
+    def test_negative_edges_outside_the_vertex_range_are_rejected(self, entry):
+        # Unchecked, negative indexing reads (-1, 0) as the edge (5, 0), and
+        # the others fail with IndexError, TypeError or an unpacking error.
+        with pytest.raises(InvalidInputError):
+            SignedGraph(make_cycle(6), [entry])
+
+    def test_has_edge_rejects_vertices_outside_the_graph(self):
+        g = make_cycle(6)
+        assert g.has_edge(5, 0) and not g.has_edge(0, 3)
+        for u, v in ((-1, 0), (0, -1), (6, 0), (0, 6)):
+            with pytest.raises(InvalidInputError):
+                g.has_edge(u, v)
+
+
 class TestBalance:
     def test_all_positive_is_balanced(self):
         assert is_balanced(SignedGraph(make_complete(6)))

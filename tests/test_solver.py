@@ -256,6 +256,22 @@ class TestBranchAndBound:
         with pytest.raises(InvalidInputError, match="initial_upper_bound"):
             rna_branch_and_bound(g, SolverConfig(initial_upper_bound=3))
 
+    def test_open_range_decisions(self):
+        # Every C_n^d with 2d+2 <= n < d(d+1), d = 4..6: no equicut below
+        # d(d+1), one of exactly d(d+1), and exhaustive agrees up to n = 22.
+        checked = 0
+        for d in (4, 5, 6):
+            for n in range(2 * d + 2, d * (d + 1)):
+                g = make_cycle_power(n, d)
+                with pytest.raises(InvalidInputError, match="initial_upper_bound"):
+                    rna_branch_and_bound(g, SolverConfig(initial_upper_bound=d * (d + 1) - 1))
+                result = rna_branch_and_bound(g, SolverConfig(initial_upper_bound=d * (d + 1)))
+                assert result.value == equicut_size(g, result.certificate) == d * (d + 1)
+                if n <= 22:
+                    assert rna_exhaustive(g).value == d * (d + 1)
+                    checked += 1
+        assert checked == 30
+
     def test_single_vertex(self):
         result = rna_branch_and_bound(make_complete(1))
         assert result.value == 0
@@ -341,6 +357,23 @@ class TestLocalSearch:
         assert (one.value, one.certificate) == (two.value, two.certificate)
 
 
+def two_dense_halves(rng, n):
+    """Two dense random halves joined by one to four edges: lambda below the
+    minimum degree."""
+    a, b = random_connected_graph(rng, n // 2, 0.6), random_connected_graph(rng, n - n // 2, 0.6)
+    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    edges += {(rng.randrange(a.n), a.n + rng.randrange(b.n)) for _ in range(rng.randint(1, 4))}
+    return graph_from_edges(n, edges)
+
+
+def max_flow_nx(nx, g, s, t):
+    """The s-t max-flow of g by networkx, every edge one unit each way."""
+    h = nx.DiGraph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(((u, v) for e in g.edges() for u, v in (e, e[::-1])), capacity=1)
+    return nx.maximum_flow_value(h, s, t)
+
+
 class TestEdgeConnectivity:
     @pytest.mark.parametrize(
         "graph,value",
@@ -365,12 +398,7 @@ class TestEdgeConnectivity:
         nx = pytest.importorskip("networkx")
         rng = random.Random(406)
         graphs = [random_connected_graph(rng, n, rng.choice((0.05, 0.15, 0.4))) for n in range(10, 61, 5)]
-        for n in range(10, 61, 10):
-            # Two dense halves joined by a few edges: lambda below the min degree.
-            a, b = random_connected_graph(rng, n // 2, 0.6), random_connected_graph(rng, n - n // 2, 0.6)
-            edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
-            edges += {(rng.randrange(a.n), a.n + rng.randrange(b.n)) for _ in range(rng.randint(1, 4))}
-            graphs.append(graph_from_edges(n, edges))
+        graphs += [two_dense_halves(rng, n) for n in range(10, 61, 10)]
         trees = [random_connected_graph(rng, rng.randint(10, 60), 0.0) for _ in range(5)]
         graphs += trees + [make_cycle_power(n, d) for n, d in ((20, 3), (31, 5), (60, 4))]
         for g in graphs:
@@ -412,6 +440,28 @@ class TestEdgeConnectivity:
                     true = min_st_cut_naive(g.n, g.edges(), s, t)
                     for stop in range(true + 2):
                         assert solver._max_flow_unit(g.adj, s, t, stop) == min(true, stop)
+
+    def test_max_flow_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(408)
+        graphs = [
+            random_connected_graph(rng, n, p) for n in range(20, 61, 5) for p in (0.05, 0.15, 0.4)
+        ]
+        graphs += [make_cycle_power(60, 4)] + [two_dense_halves(rng, n) for n in range(20, 61, 10)]
+        for g in graphs:
+            least = min(row.bit_count() for row in g.adj)
+            for _ in range(5):
+                s, t = rng.sample(range(g.n), 2)
+                true = max_flow_nx(nx, g, s, t)
+                for cap in (1, least, g.n):
+                    assert solver._max_flow_unit(g.adj, s, t, cap) == min(true, cap), (g, s, t, cap)
+
+    def test_max_flow_walk_backs_out_of_a_dead_end(self):
+        # Layers {0}, {1, 2}, {3, 4}, {5}. The first walk of the first phase
+        # sends 0-1-3-5; the second walks back 5-4-1, but the arc 0 -> 1 is
+        # used, so 1 is dropped and the walk goes on 4-2-0 in the same phase.
+        g = graph_from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+        assert [solver._max_flow_unit(g.adj, 0, 5, cap) for cap in (0, 1, 2, 3)] == [0, 1, 2, 2]
 
     def test_vertex_transitive_equals_min_degree(self):
         rng = random.Random(405)

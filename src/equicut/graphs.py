@@ -1,7 +1,8 @@
 """Graph construction and queries for cycles, cycle powers, circulants and complete graphs.
 
-Vertices are dense integers 0..n-1. Adjacency is kept as one bitmask row per
-vertex so cut sizes reduce to popcounts.
+Vertices are dense integers 0..n-1, never bools or floats (check_vertices
+states the rule every entry point applies). Adjacency is kept as one bitmask
+row per vertex so cut sizes reduce to popcounts.
 """
 
 from __future__ import annotations
@@ -17,6 +18,16 @@ from .errors import DisconnectedGraphError, InvalidInputError
 MAX_VERTICES = 512
 
 FAMILIES = ("cycle", "cycle_power", "circulant", "complete")
+
+
+def check_vertices(vs: Sequence, n: int) -> None:
+    """Reject any entry of vs that is not a vertex of an n-vertex graph.
+
+    The package's one vertex rule: a vertex is an int, not a bool, in
+    0..n-1. Nothing is coerced, so 1.5, "1" and True are errors, not 1.
+    """
+    if not {int}.issuperset(map(type, vs)) or vs and not (0 <= min(vs) and max(vs) < n):
+        raise InvalidInputError(f"vertices {tuple(vs)!r} are not integers in 0..{n - 1}")
 
 
 def check_vertex_count(n: int) -> None:
@@ -67,7 +78,9 @@ class Graph:
         return reached
 
     def has_edge(self, u: int, v: int) -> bool:
-        if not (0 <= u < self.n and 0 <= v < self.n):
+        # The vertex rule of check_vertices, inline: SignedGraph calls this
+        # once per negative edge.
+        if not (type(u) is int and type(v) is int and 0 <= u < self.n and 0 <= v < self.n):
             raise InvalidInputError(f"({u}, {v}) is not a vertex pair of a graph on {self.n} vertices")
         return bool((self.adj[u] >> v) & 1)
 
@@ -101,9 +114,11 @@ def graph_from_edges(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     rows = [0] * n
     for e in edges:
         try:
-            u, v = int(e[0]), int(e[1])
-        except (TypeError, ValueError, IndexError):
-            raise InvalidInputError(f"malformed edge entry {e!r}") from None
+            u, v = e
+        except (TypeError, ValueError):
+            u = v = None
+        if type(u) is not int or type(v) is not int:
+            raise InvalidInputError(f"malformed edge entry {e!r}; expected a pair of integers")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidInputError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
@@ -231,7 +246,7 @@ def graph_from_json_dict(data: object) -> Graph:
     if not isinstance(edges, list):
         raise InvalidInputError('"edges" must be a list of [i, j] pairs')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
+        if not isinstance(e, list):
             raise InvalidInputError(f"malformed edge entry {e!r}; expected [i, j] with integers")
     return graph_from_edges(n, edges)
 

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .bitset import iter_bits, mask_from_vertices
 from .errors import InvalidInputError
-from .graphs import Graph, _is_json_int, graph_to_json_dict
+from .graphs import Graph, _is_json_int, check_vertices, graph_to_json_dict
 
 
 class ParityLabeling:
@@ -75,7 +75,7 @@ class SignedGraph:
                 raise InvalidInputError(f"negative edge {e!r} is not a pair of vertices 0..{graph.n - 1}") from exc
             if not edge:
                 raise InvalidInputError(f"({u}, {v}) is not an edge of the graph")
-            neg.add((min(u, v), max(u, v)))
+            neg.add((u, v) if u < v else (v, u))
         self.graph = graph
         self.neg = frozenset(neg)
 
@@ -99,12 +99,12 @@ class Equicut:
     vertices: tuple[int, ...]
 
     def __post_init__(self):
-        vs = tuple(sorted(int(v) for v in self.vertices))
+        vs = tuple(self.vertices)
+        check_vertices(vs, self.n)
+        vs = tuple(sorted(vs))
         object.__setattr__(self, "vertices", vs)
         if len(set(vs)) != len(vs):
             raise InvalidInputError(f"repeated vertex in {vs}")
-        if vs and not (0 <= vs[0] and vs[-1] < self.n):
-            raise InvalidInputError(f"vertices {vs} out of range for n={self.n}")
         if len(vs) != self.n // 2:
             raise InvalidInputError(
                 f"equicut side must have floor(n/2)={self.n // 2} vertices, got {len(vs)}"
@@ -140,12 +140,9 @@ def switch_vertices(sg: SignedGraph, vertices: Iterable[int]) -> SignedGraph:
 
     Switching the same set twice restores the original signed graph.
     """
-    n = sg.graph.n
-    smask = 0
-    for v in vertices:
-        if not 0 <= v < n:
-            raise InvalidInputError(f"vertex {v} out of range for n={n}")
-        smask |= 1 << v
+    vs = tuple(vertices)
+    check_vertices(vs, sg.graph.n)
+    smask = mask_from_vertices(vs)
     boundary = {
         (u, v)
         for u, v in sg.graph.edges()

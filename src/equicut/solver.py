@@ -32,10 +32,11 @@ for both views. Three methods are provided:
   leaf within the optimum gives the certificate a single natural-order
   search returns (see _branch_and_bound);
 * local_search - seeded multi-restart best-improvement pair swaps; each
-  descent keeps every vertex's gain, and level masks of X's and of the
-  outside vertices grouped by gain, across its moves, so a swap (u, v)
-  updates O(deg u + deg v) levels and the next best swap is read from the
-  top levels; returns an upper bound, never below the optimum.
+  descent keeps every vertex's gain, and one list of level masks grouping
+  the vertices of both sides by gain, across its moves (a vertex's side is
+  read from X's mask), so a swap (u, v) updates O(deg u + deg v) levels,
+  the next best swap is read from the top levels and the cut is counted
+  once, at the end; returns an upper bound, never below the optimum.
 
 Every solver reports the edge connectivity as its lower bound, computed by
 unit-capacity max-flows from vertex 0 to the rest of a greedy dominating set
@@ -350,16 +351,19 @@ def _local_search_run(g: Graph, nbrs: Sequence[tuple[int, ...]], k: int, seed: i
     cut delta, s[v] - s[u] + 2·[uv ∈ E] with s[w] = deg w - 2·|N(w) ∩ X|
     (gv[v] = s[v] outside X, gain_u = -s[u] inside); ties go to the smallest
     u, then the smallest v. s is built once per descent and kept across its
-    moves, and with it two lists of level masks indexed by s + Δ (Δ the
-    maximum degree): one for X, one for the outside vertices.
+    moves, and with it one list of level masks: levels[i] holds every vertex
+    w, on either side, with s[w] + Δ = i (Δ the maximum degree). X's level i
+    is levels[i] & mask and the outside level i is levels[i] & ~mask.
 
     A u's best v lies in the lowest three outside levels, found in O(1)
     mask operations. X's levels are walked from the highest non-empty one
     down, each u in label order: every u at level i has delta >= low - i
     (low the lowest outside level), so the walk stops once that exceeds the
     best delta, or equals it at a u above the incumbent's. A swap (u, v)
-    moves only the neighbours of u (up 2) and of v (down 2) between levels,
-    so a move costs O(deg u + deg v) beside that walk.
+    moves only the neighbours of u (up 2) and of v (down 2) between levels;
+    u and v keep theirs and change sides with the mask. So a move costs
+    O(deg u + deg v) beside that walk, and the cut is counted once, when
+    the descent stops.
     """
     adj = g.adj
     mask = 0
@@ -368,40 +372,31 @@ def _local_search_run(g: Graph, nbrs: Sequence[tuple[int, ...]], k: int, seed: i
     if not k:
         return 0, mask
     top_deg = max(map(len, nbrs))
-    # level[w] = s[w] + Δ and where[w] is the list holding w. Two spare
-    # levels on top, always empty: the walk reads the outside levels low + 1
-    # and low + 2, and top may start 2 high.
-    inside = [0] * (2 * top_deg + 3)
-    outside = inside[:]
+    # level[w] = s[w] + Δ. Two spare levels on top, always empty: the walk
+    # reads the outside levels low + 1 and low + 2, and top may start 2 high.
+    levels = [0] * (2 * top_deg + 3)
     level = []
-    where = []
-    cut = 0
     for w, row in enumerate(adj):
-        into = (row & mask).bit_count()
-        i = len(nbrs[w]) + top_deg - 2 * into
-        if mask >> w & 1:
-            cut += len(nbrs[w]) - into
-            inside[i] |= 1 << w
-            where.append(inside)
-        else:
-            outside[i] |= 1 << w
-            where.append(outside)
+        i = len(nbrs[w]) + top_deg - 2 * (row & mask).bit_count()
+        levels[i] |= 1 << w
         level.append(i)
+    full = g.full_mask
     top = 2 * top_deg
     low = 0
     while True:
-        while not inside[top]:
+        out = full ^ mask
+        while not levels[top] & mask:
             top -= 1
-        while not outside[low]:
+        while not levels[low] & out:
             low += 1
-        l0, l1, l2 = outside[low], outside[low + 1], outside[low + 2]
+        l0, l1, l2 = levels[low] & out, levels[low + 1] & out, levels[low + 2] & out
         best_delta = 0
         best_u = -1
         i = top
         # Every u at level i has delta >= low - i, and low >= 0.
         while low - i <= best_delta:
             d = low - i
-            xs = inside[i]
+            xs = levels[i] & mask
             while xs:
                 u = (xs & -xs).bit_length() - 1
                 if d == best_delta and u > best_u:
@@ -424,30 +419,19 @@ def _local_search_run(g: Graph, nbrs: Sequence[tuple[int, ...]], k: int, seed: i
                     best_cand = cand
             i -= 1
         if best_u < 0:
-            return cut, mask
+            return g.cut_size(mask), mask
         u = best_u
         v = (best_cand & -best_cand).bit_length() - 1
-        cut += best_delta
         for w in nbrs[u]:
             i = level[w]
-            side = where[w]
-            side[i] ^= 1 << w
-            side[i + 2] |= 1 << w
+            levels[i] ^= 1 << w
+            levels[i + 2] |= 1 << w
             level[w] = i + 2
         for w in nbrs[v]:
             i = level[w]
-            side = where[w]
-            side[i] ^= 1 << w
-            side[i - 2] |= 1 << w
+            levels[i] ^= 1 << w
+            levels[i - 2] |= 1 << w
             level[w] = i - 2
-        i = level[u]
-        inside[i] ^= 1 << u
-        outside[i] |= 1 << u
-        where[u] = outside
-        i = level[v]
-        outside[i] ^= 1 << v
-        inside[i] |= 1 << v
-        where[v] = inside
         mask ^= 1 << u | 1 << v
         # Only the neighbours of u rose, by 2, and only those of v fell.
         top = max(top + 2, level[v])

@@ -15,25 +15,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import InvalidInputError
 from .formulas import block_cut_value, known_rna
 from .graphs import GraphFamilySpec, check_vertex_count, make_cycle_power
 from .solver import SolverConfig, _parallel_map, rna_branch_and_bound
-
-CSV_COLUMNS = [
-    "family",
-    "n",
-    "d",
-    "lower_bound",
-    "construction",
-    "exact",
-    "method",
-    "conjecture_match",
-    "elapsed_ms",
-]
 
 
 @dataclass
@@ -48,6 +36,10 @@ class SweepRow:
     conjecture_match: str
     elapsed_ms: int
     certificate: tuple[int, ...] = ()
+
+
+# The CSV holds every field but the certificate, which only a sidecar keeps.
+CSV_COLUMNS = [f.name for f in fields(SweepRow) if f.name != "certificate"]
 
 
 def _spanning_known_bound(n: int, d: int) -> int:
@@ -130,7 +122,6 @@ def write_sweep_outputs(rows: list[SweepRow], out_path: str | Path) -> list[Path
         if row.conjecture_match != "fails":
             continue
         sidecar = out_path.with_name(f"{out_path.stem}.counterexample-n{row.n}-d{row.d}.json")
-        payload = {c: getattr(row, c) for c in CSV_COLUMNS + ["certificate"]}
-        sidecar.write_text(json.dumps(payload, indent=2) + "\n")
+        sidecar.write_text(json.dumps(asdict(row), indent=2) + "\n")
         sidecars.append(sidecar)
     return sidecars

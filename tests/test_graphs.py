@@ -172,6 +172,12 @@ class TestLoader:
         with pytest.raises(InvalidInputError):
             graph_from_edges(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edge", [(0, 1.7), (0, 1, 2), ("0", "1"), (True, 0), (0.0, 1.0)])
+    def test_edges_are_pairs_of_integers_not_coerced(self, edge):
+        # int() would read (0, 1.7) as the edge (0, 1) and drop the 2 of (0, 1, 2).
+        with pytest.raises(InvalidInputError, match="malformed edge"):
+            graph_from_edges(3, [edge, (1, 2)])
+
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
             graph_from_edges(4, [(0, 1), (2, 3)])

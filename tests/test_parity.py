@@ -129,6 +129,12 @@ class TestEquicut:
         with pytest.raises(InvalidInputError):
             Equicut(4, (1, 1))
 
+    @pytest.mark.parametrize("vertices", [(0, 1.5, 2), ("0", "1", "2"), (True, 2, 3)])
+    def test_vertices_are_ints_not_coerced(self, vertices):
+        # int() would turn each of these into a valid-looking cut.
+        with pytest.raises(InvalidInputError):
+            Equicut(6, vertices)
+
     def test_cut_size_examples(self):
         assert equicut_size(make_cycle(6), Equicut(6, (0, 1, 2))) == 2
         assert equicut_size(make_complete(5), Equicut(5, (0, 3))) == 6
@@ -169,22 +175,24 @@ class TestSwitching:
             assert switch_vertices(switch_vertices(sg, subset), subset).neg == sg.neg
 
     def test_out_of_range_vertex(self):
-        with pytest.raises(InvalidInputError):
-            switch_vertices(SignedGraph(make_cycle(4)), (4,))
+        for vs in ((4,), (1.5,), (True,)):
+            with pytest.raises(InvalidInputError):
+                switch_vertices(SignedGraph(make_cycle(4)), vs)
 
 
 class TestSignedGraph:
-    @pytest.mark.parametrize("entry", [(-1, 0), (7, 0), (0, -1), (0, 1, 2), (1.0, 2), ("0", 1), 5])
+    @pytest.mark.parametrize("entry", [(-1, 0), (7, 0), (0, -1), (0, 1, 2), (1.0, 2), ("0", 1), 5, (True, 0)])
     def test_negative_edges_outside_the_vertex_range_are_rejected(self, entry):
-        # Unchecked, negative indexing reads (-1, 0) as the edge (5, 0), and
-        # the others fail with IndexError, TypeError or an unpacking error.
+        # Unchecked, negative indexing reads (-1, 0) as the edge (5, 0), True
+        # is stored as vertex 1, and the others fail with IndexError,
+        # TypeError or an unpacking error.
         with pytest.raises(InvalidInputError):
             SignedGraph(make_cycle(6), [entry])
 
     def test_has_edge_rejects_vertices_outside_the_graph(self):
         g = make_cycle(6)
         assert g.has_edge(5, 0) and not g.has_edge(0, 3)
-        for u, v in ((-1, 0), (0, -1), (6, 0), (0, 6)):
+        for u, v in ((-1, 0), (0, -1), (6, 0), (0, 6), (True, 0)):
             with pytest.raises(InvalidInputError):
                 g.has_edge(u, v)
 

@@ -38,18 +38,23 @@ for both views. Three methods are provided:
   the next best swap is read from the top levels and the cut is counted
   once, at the end; returns an upper bound, never below the optimum.
 
-Every solver reports the edge connectivity as its lower bound, computed by
-unit-capacity max-flows from vertex 0 to the rest of a greedy dominating set
-that holds it (Matula 1987), each flow a Dinic search over bitmask residual
-rows: a layered BFS, then a blocking flow walked back from the sink (Even &
-Tarjan 1975).
+Every solver reports the edge connectivity as its lower bound. On a
+rotation-symmetric graph it is the degree (Mader 1971), and on C_n^d every
+suffix value of the completion bound has a closed form too (Harary 1962), so
+the paper's graphs run no max-flow (PROOF.md, "Connectivity without flows").
+Other graphs run unit-capacity max-flows from vertex 0 to the rest of a
+greedy dominating set that holds it (Matula 1987), each flow a Dinic search
+over bitmask residual rows: a layered BFS, then a blocking flow walked back
+from the sink (Even & Tarjan 1975).
 
-Exhaustive search and local search each build one fixed task list (subset
-blocks, restarts) whatever the worker count, and hand it to _parallel_map;
-the count only decides whether the tasks run in this process or in a pool,
-which never has more processes than there are tasks or usable CPUs. There is
-one pool per process: started on first use, never at import, reused by every
-later call of the same size and torn down at interpreter exit.
+Exhaustive search and local search each build one fixed task list whatever
+the worker count (subset blocks; at most 64 ranges of restarts, however many
+restarts), and hand it to _parallel_map; the count only decides whether the
+tasks run in this process or in a pool, which never has more processes than
+there are tasks or usable CPUs. There is one pool per process: started on
+first use, never at import (multiprocessing itself is imported only then),
+reused by every later call of the same size and torn down at interpreter
+exit.
 """
 
 from __future__ import annotations
@@ -61,10 +66,9 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from math import comb
-from multiprocessing import Pool
 from typing import Sequence
 
-from .bitset import iter_bits, subset_precedes
+from .bitset import iter_bits, rotate_mask, subset_precedes
 from .errors import EnumerationCapError, InvalidInputError
 from .graphs import Graph, is_rotation_symmetric
 from .parity import Equicut
@@ -128,9 +132,17 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-# The process-wide pool as (size, Pool), or None before the first call that
+# The process-wide pool as (size, pool), or None before the first call that
 # needs one.
 _pool = None
+
+
+def _start_pool(size: int):
+    """A new pool of size processes. multiprocessing is imported here, not
+    at module load, so a run that never starts a pool does not load it."""
+    from multiprocessing import Pool
+
+    return Pool(size)
 
 
 def _close_pool() -> None:
@@ -173,7 +185,7 @@ def _parallel_map(fn, tasks: list, workers: int) -> list:
     if _pool is not None and _pool[0] != size:
         _close_pool()
     if _pool is None:
-        _pool = (size, Pool(size))
+        _pool = (size, _start_pool(size))
     return _pool[1].starmap(fn, tasks, 1)
 
 
@@ -442,16 +454,31 @@ def _restart_seed(base: int, index: int) -> int:
     return base * _SEED_STRIDE + index
 
 
+# Local search sends at most this many tasks, each a range of restarts.
+_RESTART_TASKS = 64
+
+
+def _local_search_range(
+    g: Graph, nbrs: Sequence[tuple[int, ...]], k: int, base: int, lo: int, hi: int
+) -> tuple[int, int]:
+    """Best of restarts lo..hi-1, restart r seeded _restart_seed(base, r)."""
+    return reduce(_merge, (_local_search_run(g, nbrs, k, _restart_seed(base, r)) for r in range(lo, hi)))
+
+
 def _local_search_best(g: Graph, cfg: SolverConfig) -> tuple[int, int]:
-    """Best of cfg.restarts seeded runs, one task per restart: restart r's
-    task carries the seed _restart_seed(cfg.rng_seed, r), not a generator,
-    so a task stays a few bytes until it runs and the worker count only
-    decides where the runs execute. The neighbour tuples are built once here
-    and carried in every task."""
+    """Best of cfg.restarts seeded runs, restart r seeded
+    _restart_seed(cfg.rng_seed, r). The restarts are split into
+    min(cfg.restarts, _RESTART_TASKS) contiguous ranges, one task each, so
+    the task list has the same few entries for any restart count and any
+    worker count, which only decides where the ranges run; _merge picks the
+    same best in any grouping. The neighbour tuples are built once here and
+    carried in every task."""
     k = g.n // 2
     nbrs = tuple(tuple(iter_bits(row)) for row in g.adj)
-    tasks = [(g, nbrs, k, _restart_seed(cfg.rng_seed, r)) for r in range(cfg.restarts)]
-    return reduce(_merge, _parallel_map(_local_search_run, tasks, cfg.parallelism))
+    count = min(cfg.restarts, _RESTART_TASKS)
+    bounds = [cfg.restarts * i // count for i in range(count + 1)]
+    tasks = [(g, nbrs, k, cfg.rng_seed, lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    return reduce(_merge, _parallel_map(_local_search_range, tasks, cfg.parallelism))
 
 
 def rna_local_search(g: Graph, cfg: SolverConfig | None = None) -> SolveResult:
@@ -766,12 +793,16 @@ METHODS = {
 
 
 def edge_connectivity(g: Graph) -> int:
-    """Edge connectivity via unit-capacity max-flow runs from vertex 0 (see
-    _rows_connectivity).
+    """Edge connectivity of g; 0 for a single vertex (nothing to disconnect).
 
-    Connected vertex-transitive graphs attain their minimum degree here.
-    Returns 0 for a single vertex (nothing to disconnect).
+    A rotation-symmetric graph is vertex-transitive, and every Graph is
+    connected, so by Mader's theorem (1971) its edge connectivity is its
+    minimum degree, read off without a flow (PROOF.md, "Connectivity without
+    flows"). Any other graph runs unit-capacity max-flows from vertex 0 (see
+    _rows_connectivity).
     """
+    if is_rotation_symmetric(g):
+        return g.adj[0].bit_count()
     return _rows_connectivity(g.adj)
 
 
@@ -814,13 +845,22 @@ def _suffix_connectivity(adj: Sequence[int], lam: int) -> list[int]:
     vertices. inner[0] is lam, the edge connectivity of the whole graph,
     which the caller has computed already.
 
-    Adding vertex t to S = {t+1, ..., n-1}: a cut of S + t either leaves t
-    alone, at the cost of its degree, or restricts to a cut of S, so
-    λ(S + t) >= min(λ(S), δ(S + t)) with δ the minimum degree. λ never
-    exceeds δ, so λ(S + t) = δ(S + t) whenever λ(S) >= δ(S + t), and only
-    the other suffixes run max-flows.
+    The rows of C_n^d with d >= 1 (see _cycle_power_d) take a closed form
+    and run no flows (PROOF.md, "Connectivity without flows"): inner[t]
+    = 2d - t for 1 <= t < d, and min(d, n - t - 1) for t >= d, where the
+    suffix is the path power P_{n-t}^d.
+
+    Other rows build the table from the last suffix up. Adding vertex t to
+    S = {t+1, ..., n-1}: a cut of S + t either leaves t alone, at the cost
+    of its degree, or restricts to a cut of S, so λ(S + t) >= min(λ(S),
+    δ(S + t)) with δ the minimum degree. λ never exceeds δ, so λ(S + t) =
+    δ(S + t) whenever λ(S) >= δ(S + t), and only the other suffixes run
+    max-flows.
     """
     n = len(adj)
+    d = _cycle_power_d(adj)
+    if d:
+        return [lam] + [2 * d - t for t in range(1, d)] + [min(d, n - t - 1) for t in range(d, n)] + [0]
     inner = [lam] + [0] * n
     for t in range(n - 2, 0, -1):
         rows = [row >> t for row in adj[t:]]
@@ -830,6 +870,19 @@ def _suffix_connectivity(adj: Sequence[int], lam: int) -> list[int]:
         else:
             inner[t] = _rows_connectivity(rows)
     return inner
+
+
+def _cycle_power_d(adj: Sequence[int]) -> int:
+    """d >= 1 when adj holds the rows of C_n^d in natural order, with row 0
+    exactly the 2d vertices at the jumps 1..d (so n >= 2d + 1) and row i row
+    0 rotated by i; else 0. A jump of n/2 would add one vertex, not two, so
+    C_{2d}^d is not matched."""
+    n = len(adj)
+    row0 = adj[0] if n else 0
+    d = row0.bit_count() // 2
+    if not d or row0 != (1 << d + 1) - 2 | ((1 << d) - 1) << (n - d):
+        return 0
+    return d if all(adj[i] == rotate_mask(row0, n, i) for i in range(1, n)) else 0
 
 
 def _max_flow_unit(adj: Sequence[int], s: int, t: int, stop_at: int) -> int:

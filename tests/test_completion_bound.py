@@ -393,10 +393,53 @@ class TestSuffixConnectivity:
             want = [induced_suffix_connectivity_nx(nx, g, t) for t in range(1, g.n)]
             assert inner[1:-1] == want, g
 
+    def test_cycle_power_closed_form_equals_the_flows(self):
+        # Every suffix from d on is the path power P_{n-t}^d whatever n is, so
+        # its flow value is computed once.
+        flows = {}
+
+        def connectivity(rows):
+            key = tuple(rows)
+            if key not in flows:
+                flows[key] = solver._rows_connectivity(rows)
+            return flows[key]
+
+        for n in range(3, 71):
+            for d in range(1, (n - 1) // 2 + 1):
+                adj = make_cycle_power(n, d).adj
+                assert solver._cycle_power_d(adj) == d
+                want = [connectivity([row >> t for row in adj[t:]]) for t in range(1, n)]
+                assert solver._suffix_connectivity(adj, 2 * d) == [2 * d, *want, 0], (n, d)
+
+    def test_other_rows_take_the_flow_path(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1702)
+        graphs = []
+        for n, d in ((9, 1), (12, 2), (17, 3), (20, 4), (10, 4)):
+            g = make_cycle_power(n, d)
+            # (1, d + 2) is no edge of C_n^d once n >= 2d + 2; row 0 keeps
+            # exactly the jumps 1..d, so only row 1 tells the chord apart.
+            graphs.append(graph_from_edges(n, sorted(g.edges() + [(1, d + 2)])))
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs.append(graph_from_edges(n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges())))
+        graphs += [make_circulant(n, (1, 3)) for n in (8, 11, 20)]
+        # K_{2d}: the jump d adds one neighbour, and 2d - t would be too high.
+        graphs += [make_cycle_power(2 * d, d) for d in (2, 3, 5)]
+        for g in graphs:
+            assert solver._cycle_power_d(g.adj) == 0, g
+            want = [induced_suffix_connectivity_nx(nx, g, t) for t in range(1, g.n)]
+            assert solver._suffix_connectivity(g.adj, -1) == [-1, *want, 0], g
+
     def test_whole_graph_connectivity_runs_once_per_solve(self, monkeypatch):
-        # Suffix 1 of a cycle power has λ = 2d - 1 below the minimum degree
-        # 2d, so inner[0] would need a max-flow of its own.
-        g = make_cycle_power(40, 4)
+        # Swapping labels 0 and 1 of C_40^4 leaves a regular graph without
+        # rotation symmetry, so the solve takes the flow path in natural
+        # order. Its suffix 1 has λ = 7 below the minimum degree 8, so inner[0]
+        # would need a max-flow of its own.
+        c = make_cycle_power(40, 4)
+        swap = {0: 1, 1: 0}
+        g = graph_from_edges(40, sorted(tuple(sorted((swap.get(u, u), swap.get(v, v)))) for u, v in c.edges()))
+        assert not is_rotation_symmetric(g)
         rows_connectivity = solver._rows_connectivity
         whole = []
 
@@ -407,6 +450,10 @@ class TestSuffixConnectivity:
         monkeypatch.setattr(solver, "_rows_connectivity", counting)
         assert rna_branch_and_bound(g).value == 20
         assert sum(whole) == 1
+        # C_40^4 itself: λ = δ and the closed-form suffix table, no flow at all.
+        whole.clear()
+        assert rna_branch_and_bound(c).value == 20
+        assert whole == []
 
 
 @st.composite

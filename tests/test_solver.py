@@ -464,10 +464,39 @@ class TestEdgeConnectivity:
         assert [solver._max_flow_unit(g.adj, 0, 5, cap) for cap in (0, 1, 2, 3)] == [0, 1, 2, 2]
 
     def test_vertex_transitive_equals_min_degree(self):
+        # Mader's theorem, through the max-flows: a circulant and a copy with
+        # its vertices shuffled (vertex-transitive, but not rotation-symmetric
+        # in its labels) both have λ = δ.
         rng = random.Random(405)
         for _ in range(15):
             g = random_circulant(rng, rng.randint(5, 12))
-            assert edge_connectivity(g) == min(g.adj[v].bit_count() for v in range(g.n))
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = graph_from_edges(g.n, sorted(tuple(sorted((perm[u], perm[v]))) for u, v in g.edges()))
+            degree = g.adj[0].bit_count()
+            assert solver._rows_connectivity(g.adj) == solver._rows_connectivity(h.adj) == degree
+            assert edge_connectivity(h) == degree
+
+    def test_rotation_symmetric_graphs_run_no_flow(self, monkeypatch):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(409)
+        graphs = [random_circulant(rng, rng.randint(3, 40)) for _ in range(40)]
+        graphs += [make_circulant(n, (1, n // 2)) for n in (4, 10, 24)]
+        # A jump of n/2 adds one neighbour, not two.
+        assert sum(g.n % 2 == 0 and g.adj[0] >> g.n // 2 & 1 for g in graphs) >= 5
+        want = []
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            want.append(nx.edge_connectivity(h))
+            assert solver._rows_connectivity(g.adj) == want[-1], g
+
+        def no_flow(adj):
+            raise AssertionError("max-flow on a rotation-symmetric graph")
+
+        monkeypatch.setattr(solver, "_rows_connectivity", no_flow)
+        assert [edge_connectivity(g) for g in graphs] == want
 
 
 class TestLowerBound:
@@ -557,14 +586,52 @@ class TestTaskList:
         calls = self.record_tasks(monkeypatch)
         results = [rna_local_search(g, SolverConfig(restarts=7, rng_seed=3, parallelism=w)) for w in (1, 4)]
         assert calls[0] == calls[1]
-        assert [t[-1] for t in calls[0]] == [solver._restart_seed(3, r) for r in range(7)]
+        # Seven restarts, one range each: the seeds of restarts 0..6 in order.
+        assert [t[-3:] for t in calls[0]] == [(3, r, r + 1) for r in range(7)]
         assert results[0].certificate == results[1].certificate
+
+    def test_local_search_task_count_is_bounded(self, monkeypatch):
+        # 10^9 restarts are 64 tasks, each a range; no task list grows with
+        # the restart count. Recording only, no restart runs. 10^9 comes last,
+        # so a task list that grows fails on 65 before it fills the memory.
+        calls = []
+        monkeypatch.setattr(solver, "_parallel_map", lambda fn, tasks, workers: calls.append(tasks) or [(0, 0)])
+        g = make_cycle_power(15, 3)
+        for restarts in (64, 65, 1000, 10**9):
+            for workers in (1, 4):
+                solver._local_search_best(g, SolverConfig(restarts=restarts, rng_seed=5, parallelism=workers))
+            assert calls[-1] == calls[-2]
+            ranges = [t[-2:] for t in calls[-1]]
+            assert len(ranges) == min(restarts, 64)
+            assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+            assert ranges[-1][1] == restarts
+            assert {hi - lo for lo, hi in ranges} <= {restarts // 64, -(-restarts // 64)}
+            assert {t[-3] for t in calls[-1]} == {5}
+
+    def test_local_search_ranges_run_every_restart_once(self, monkeypatch):
+        # The ranges run restarts 0..R-1 once each, in order, and their best
+        # is the least cut, ties to the smallest vertex tuple.
+        run = solver._local_search_run
+        runs = []
+
+        def recording(g, nbrs, k, seed):
+            runs.append((seed, run(g, nbrs, k, seed)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(solver, "_local_search_run", recording)
+        rng = random.Random(410)
+        for restarts in (1, 63, 64, 65, 130):
+            g = random_connected_graph(rng, rng.randint(8, 30), 0.2)
+            runs.clear()
+            got = solver._local_search_best(g, SolverConfig(restarts=restarts, rng_seed=7))
+            assert [seed for seed, _ in runs] == [solver._restart_seed(7, r) for r in range(restarts)]
+            assert got == min((r for _, r in runs), key=lambda r: (r[0], tuple(iter_bits(r[1])))), restarts
 
 
 @pytest.fixture
 def fresh_pool():
-    """No shared pool before or after the test, so a swapped solver.Pool
-    neither meets a real pool nor leaves a fake one behind."""
+    """No shared pool before or after the test, so a swapped
+    solver._start_pool neither meets a real pool nor leaves a fake one behind."""
     solver._close_pool()
     yield
     solver._close_pool()
@@ -593,7 +660,7 @@ class FakePool:
 def fake_pool(fresh_pool, monkeypatch):
     events = []
     monkeypatch.setattr(FakePool, "events", events)
-    monkeypatch.setattr(solver, "Pool", FakePool)
+    monkeypatch.setattr(solver, "_start_pool", FakePool)
     return events
 
 
@@ -618,7 +685,7 @@ class TestParallelMap:
         assert fake_pool == [("create", 3)]
 
     def test_single_slot_runs_inline(self, monkeypatch):
-        monkeypatch.setattr(solver, "Pool", None)
+        monkeypatch.setattr(solver, "_start_pool", None)
         assert solver._parallel_map(abs, [(-1,), (2,), (-3,)], 1) == [1, 2, 3]
         monkeypatch.setattr(solver, "_cpu_count", lambda: 1)
         assert solver._parallel_map(abs, [(-4,), (5,)], 8) == [4, 5]
@@ -671,6 +738,14 @@ class TestParallelMap:
             "print(solver._pool, multiprocessing.active_children(), threading.active_count())\n"
         )
         assert out.split() == ["None", "[]", "1"]
+
+    def test_import_loads_no_multiprocessing(self):
+        out = run_in_subprocess(
+            "import sys\n"
+            "import equicut, equicut.cli\n"
+            "print('multiprocessing' in sys.modules)\n"
+        )
+        assert out.split() == ["False"]
 
     @pytest.mark.skipif(solver._cpu_count() < 2, reason="a pool needs 2 CPUs")
     def test_no_worker_outlives_the_process(self):
